@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,20 +36,6 @@ from .errors import (ContextError, HardyZError, InconclusiveContourError,
 from .fmtio import fmt15, fmt15_complex, to_json
 from .zerolab import (Rectangle, contour_count, count_compare, interlace_audit,
                       mirror_sum_check, scan_zeros)
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: datum, order, evaluation policy, output policy."""
-
-    datum_name: str = ""
-    k: int = 0
-    ctx: EvalContext = field(default_factory=EvalContext)
-    seed: int = 0
-    jobs: int = 1
-    fmt: str = "csv"
-    out: str | None = None
-    experimental: bool = False
 
 
 def _parse_kv(text: str) -> tuple[str, str]:
@@ -88,8 +73,6 @@ def _add_common(p: argparse.ArgumentParser, *, jobs: bool = False) -> None:
     p.add_argument("--config", help="evaluation policy file of key = value lines")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one EvalContext field (repeatable)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reproducibility seed (reserved; current subcommands are deterministic)")
     p.add_argument("--experimental", action="store_true",
                    help="allow experimental catalog entries (delta)")
     if jobs:

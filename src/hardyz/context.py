@@ -26,7 +26,7 @@ class EvalContext:
     exclusion_radius half-width of the discs carved out around psi poles
     sigma_right_base right abscissa for argument tracking at k = 0
     sigma_right_step increment of that abscissa per derivative order
-    refine_tol       bisection stops when the bracket is this narrow
+    refine_tol       zero refinement stops when the bracket is this narrow
     scan_safety      fraction of the mean zero gap used as the scan step
     """
 
@@ -59,8 +59,10 @@ class EvalContext:
             raise ContextError("exclusion_radius must lie in (0, 0.5)")
         if self.sigma_right_base < 2.0 or self.sigma_right_step < 0:
             raise ContextError("sigma_right policy must keep the tracking line right of sigma = 2")
-        if not (0 < self.refine_tol <= 1e-6):
-            raise ContextError("refine_tol out of range")
+        # near t = 500 a double is 1.1e-13 from its neighbours; a narrower
+        # tolerance cannot be reached there and refinement would never end
+        if not (1e-12 <= self.refine_tol <= 1e-6):
+            raise ContextError("refine_tol must lie in [1e-12, 1e-6]")
         if not (0 < self.scan_safety <= 0.5):
             raise ContextError("scan_safety must lie in (0, 0.5]")
 

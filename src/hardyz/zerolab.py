@@ -1,15 +1,17 @@
 """Zero tables and structural checks on Z^(k).
 
-scan_zeros        sign-scan plus bisection on a density-matched grid
+scan_zeros        sign-scan on a density-matched grid, brackets refined by
+                  safeguarded Illinois (regula-falsi) steps
 interlace_audit   zeros of Z^(k+1) between consecutive zeros of Z^(k)
 argument_S        S(T) by continuous argument tracking of F_k
 count_compare     on-line count against theta/pi + S(T)
 contour_count     argument-principle count in a rectangle off the real axis
 mirror_sum_check  d/dt (Z^(k+1)/Z^(k)) against the mirrored zero sum
 
-Scan results are cached in-process per (datum, k, range, context); the
---jobs knob only parallelizes evaluation of fixed-size grid slices, so the
-numbers are bit-identical whatever the parallelism.
+Scan results are cached in-process per (datum and its coefficient provider,
+k, range, context); the --jobs knob only parallelizes evaluation of
+fixed-size slices of the grid, the refinement rounds and the residuals, so
+the numbers are bit-identical whatever the parallelism.
 """
 
 from __future__ import annotations
@@ -195,20 +197,64 @@ def _eval_sliced(datum: SelbergDatum, ts: np.ndarray, k: int, ctx: EvalContext,
     return out
 
 
+def _refine_brackets(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
+                     fhi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink sign-change brackets of f until each is at most tol wide.
+
+    f maps an array of abscissae to values; flo and fhi are f at lo and hi,
+    of opposite signs.  Each round is one call of f on the brackets still
+    open.  A step is an Illinois regula-falsi step: the end kept twice in a
+    row has its stored value halved, so the secant cannot stall at one end.
+    Steps are clamped 0.45 tol inside the bracket, which closes it once the
+    secant estimate sits within that distance of an end.  A bracket whose
+    width has not halved in three rounds bisects instead: a healthy bracket
+    often keeps one end for two rounds before the Illinois step jumps past
+    the zero, and a two-round test would bisect in place of that jump.  A
+    value of exactly 0.0 closes its bracket at that point.
+    """
+    lo, hi, flo, fhi = (np.array(a, dtype=np.float64) for a in (lo, hi, flo, fhi))
+    kept = np.zeros(lo.size, dtype=np.int8)  # +1: lo moved last round, -1: hi did
+    past = np.full((3, lo.size), np.inf)  # widths one, two, three rounds ago
+    live = np.flatnonzero(hi - lo > tol)
+    while live.size:
+        a, b, fa, fb = lo[live], hi[live], flo[live], fhi[live]
+        w = b - a
+        x = np.where(w > 0.5 * past[2, live], a + 0.5 * w, b - fb * (w / (fb - fa)))
+        x = np.clip(x, a + 0.45 * tol, b - 0.45 * tol)
+        fx = f(x)
+        zero = fx == 0.0
+        to_lo = np.sign(fx) == np.sign(fa)
+        to_hi = ~(to_lo | zero)
+        moved_lo, moved_hi, hit = live[to_lo], live[to_hi], live[zero]
+        fhi[moved_lo[kept[moved_lo] == 1]] *= 0.5
+        flo[moved_hi[kept[moved_hi] == -1]] *= 0.5
+        lo[moved_lo], flo[moved_lo], kept[moved_lo] = x[to_lo], fx[to_lo], 1
+        hi[moved_hi], fhi[moved_hi], kept[moved_hi] = x[to_hi], fx[to_hi], -1
+        lo[hit] = hi[hit] = x[zero]
+        past[1:, live] = past[:-1, live]
+        past[0, live] = w
+        live = live[hi[live] - lo[live] > tol]
+    return lo, hi
+
+
 def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
                ctx: EvalContext | None = None, jobs: int = 1) -> ZeroTable:
-    """Sign-scan [t0, t1] for zeros of Z^(k) and bisect each bracket.
+    """Sign-scan [t0, t1] for zeros of Z^(k) and refine each bracket.
 
     The grid step tracks the local zero density (scan_safety times the mean
-    gap), brackets are bisected to refine_tol, and near-tangential dips of
-    |Z^(k)| without a sign change are listed as advisory t values.
+    gap).  Each sign-change bracket shrinks to refine_tol by safeguarded
+    Illinois steps (see _refine_brackets) and its midpoint is the reported
+    zero.  Near-tangential dips of |Z^(k)| without a sign change are listed
+    as advisory t values.
     """
     ctx = ctx or DEFAULT_CONTEXT
     if not (SCAN_T_MIN <= t0 < t1 <= SCAN_T_MAX):
         raise RangeError(f"scan range must satisfy {SCAN_T_MIN} <= t0 < t1 <= {SCAN_T_MAX}")
     if not (0 <= k <= SCAN_K_MAX):
         raise RangeError(f"scan supports derivative orders 0..{SCAN_K_MAX}")
-    key = (datum.name, k, float(t0), float(t1), astuple(ctx))
+    # the provider is not part of datum equality, and two data that differ
+    # only in their coefficients must not share a table
+    key = (datum, datum.provider, k, float(t0), float(t1), astuple(ctx))
     with _scan_lock:
         if key in _scan_cache:
             return _scan_cache[key]
@@ -219,18 +265,11 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
     exact = np.flatnonzero(vals == 0.0)
     change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
 
-    lo = grid[change].copy()
-    hi = grid[change + 1].copy()
-    flo = vals[change].copy()
-    while lo.size and float(np.max(hi - lo)) > ctx.refine_tol:
-        mid = 0.5 * (lo + hi)
-        fm = _eval_sliced(datum, mid, k, ctx)
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
+    lo, hi = _refine_brackets(lambda x: _eval_sliced(datum, x, k, ctx, jobs),
+                              grid[change], grid[change + 1], vals[change], vals[change + 1],
+                              ctx.refine_tol)
     gamma = 0.5 * (lo + hi)
-    residual = np.abs(_eval_sliced(datum, gamma, k, ctx)) if gamma.size else gamma
+    residual = np.abs(_eval_sliced(datum, gamma, k, ctx, jobs)) if gamma.size else gamma
     width = hi - lo
 
     records = sorted(

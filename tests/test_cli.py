@@ -117,6 +117,10 @@ def test_exit_code_validation_errors(capsys):
                         "--set", "em_scale=-1"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
                         "--set", "nonsense"])[0] == 2
+    # a tolerance finer than the float spacing near t = 500 is refused, not
+    # refined forever
+    assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "100", "--t1", "102",
+                        "--set", "refine_tol=1e-15"])[0] == 2
 
 
 def test_exit_code_inconclusive(capsys):

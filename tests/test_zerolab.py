@@ -1,17 +1,22 @@
 """Zero scanning, interlacing audits, counting, contour counts, and the
 mirrored-zero-sum check."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hardyz import zerolab
 from hardyz.catalog import builtin
+from hardyz.chain import z_grid
 from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import (InconclusiveContourError, ProximityError,
                            RangeError)
 from hardyz.gamma_factor import theta
-from hardyz.zerolab import (Rectangle, argument_S, contour_count,
-                            count_compare, interlace_audit, mirror_sum_check,
-                            scan_zeros)
+from hardyz.zerolab import (Rectangle, _eval_sliced, _refine_brackets,
+                            argument_S, contour_count, count_compare,
+                            interlace_audit, mirror_sum_check, scan_zeros)
 
 from oracles import (CHI4_ZEROS, ZETA_PRIME_ZEROS, ZETA_SECOND_ZEROS,
                      ZETA_ZEROS, theta_reference)
@@ -38,12 +43,83 @@ def test_scan_chi4_zeros_multiprecision():
     assert np.max(np.abs(np.array(table.gammas) - np.array(CHI4_ZEROS))) < 1e-8
 
 
-def test_scan_jobs_determinism():
+def test_scan_jobs_determinism(monkeypatch):
     zeta = builtin("zeta")
     ctx = DEFAULT_CONTEXT
-    serial = scan_zeros(zeta, 0, 60.0, 120.0, ctx, jobs=1)
-    parallel = scan_zeros(zeta, 0, 60.0, 120.0, ctx, jobs=4)
-    assert serial.to_csv_text() == parallel.to_csv_text()
+    ts = np.linspace(60.0, 120.0, 2 * zerolab._SLICE + 7)  # three slices
+    serial = _eval_sliced(zeta, ts, 0, ctx, jobs=1)
+    assert np.array_equal(serial, _eval_sliced(zeta, ts, 0, ctx, jobs=2))
+    # jobs is not part of the cache key, so each scan starts from an empty cache
+    monkeypatch.setattr(zerolab, "_scan_cache", {})
+    table = scan_zeros(zeta, 0, 60.0, 120.0, ctx, jobs=1)
+    monkeypatch.setattr(zerolab, "_scan_cache", {})
+    assert scan_zeros(zeta, 0, 60.0, 120.0, ctx, jobs=2) == table
+
+
+def _refine_checked(f, lo, hi, tol=1e-9):
+    """Refine with _refine_brackets and check its contract; returns the
+    final ends and the number of points each round evaluated."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return f(x)
+
+    a, b = _refine_brackets(counted, lo, hi, f(lo), f(hi), tol)
+    fa, fb = f(a), f(b)
+    assert np.all(b - a <= tol)
+    assert np.all((lo <= a) & (b <= hi))
+    assert np.all((np.sign(fa) * np.sign(fb) < 0) | ((a == b) & (fa == 0.0)))
+    assert len(sizes) <= 2 * math.ceil(math.log2(np.max(hi - lo) / tol))
+    return a, b, sizes
+
+
+def test_refine_closes_on_exact_zero():
+    a, b, sizes = _refine_checked(lambda x: 3.0 * (x - 0.25), [0.0], [1.0])
+    assert a[0] == b[0] == 0.25
+    assert sizes == [1]
+
+
+def test_refine_steep_flat_bottomed():
+    def f(x):
+        return x ** 10 - 0.5
+
+    # plain regula falsi keeps hi = 1 and creeps up the flat bottom
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        x = hi - f(hi) * (hi - lo) / (f(hi) - f(lo))
+        lo, hi = (x, hi) if f(x) < 0 else (lo, x)
+    assert hi - lo > 0.01
+    a, _, sizes = _refine_checked(f, [0.0], [1.0])
+    assert abs(a[0] - 0.5 ** 0.1) < 1e-9
+    assert len(sizes) <= 15
+
+
+def test_refine_brackets_close_at_different_rounds():
+    lo = [3.0, 6.2, -1.5, math.pi - 4e-10]
+    hi = [3.3, 6.3, 1.4, math.pi + 5e-10]
+    a, b, sizes = _refine_checked(np.sin, lo, hi)
+    assert np.allclose(0.5 * (a + b), [math.pi, 2.0 * math.pi, 0.0, math.pi], atol=1e-9)
+    # the last bracket is already narrow enough and is never evaluated; the
+    # others drop out of the batch as they close
+    assert sizes[0] == 3
+    assert all(m >= n for m, n in zip(sizes, sizes[1:])) and sizes[-1] < sizes[0]
+
+
+def test_scan_refinement_rounds(monkeypatch):
+    calls = []
+
+    def counted(datum, ts, k, ctx=None):
+        calls.append(ts.size)
+        return z_grid(datum, ts, k, ctx)
+
+    monkeypatch.setattr(zerolab, "_scan_cache", {})
+    monkeypatch.setattr(zerolab, "z_grid", counted)
+    table = scan_zeros(builtin("zeta"), 1, 8.0, 30.0)
+    assert np.max(np.abs(np.array(table.gammas) - np.array(ZETA_PRIME_ZEROS))) < 1e-8
+    # one grid call, one residual call, the rest refinement rounds
+    assert len(calls) - 2 <= 12
 
 
 def test_scan_validation():
@@ -160,3 +236,17 @@ def test_scan_cache_returns_consistent_tables():
     a = scan_zeros(zeta, 0, 10.0, 22.0)
     b = scan_zeros(zeta, 0, 10.0, 22.0)
     assert a.gammas == b.gammas and a.residuals == b.residuals
+
+
+def test_scan_cache_keeps_data_apart(monkeypatch):
+    # a datum renamed to another's name, or one that differs only in its
+    # coefficient provider (not part of datum equality), gets its own table
+    zeta, chi3, chi4 = builtin("zeta"), builtin("chi3"), builtin("chi4")
+    renamed = replace(chi4, name="zeta")
+    rewired = replace(chi4, provider=chi3.provider)
+    scan_zeros(zeta, 0, 10.0, 22.0)
+    scan_zeros(chi4, 0, 10.0, 22.0)
+    cached = [scan_zeros(d, 0, 10.0, 22.0) for d in (renamed, rewired)]
+    monkeypatch.setattr(zerolab, "_scan_cache", {})
+    assert cached == [scan_zeros(d, 0, 10.0, 22.0) for d in (renamed, rewired)]
+    assert len(cached[0].gammas) == 5
