@@ -50,6 +50,9 @@ from .gamma_factor import fe_logderiv_grid, theta_grid
 from .specfun import log_gamma
 
 _MAX_CHAIN = 8
+# |f_k| or |psi/2| at or below this counts as vanishing, and the ratio that
+# divides by it is reported as None
+_RATIO_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -189,16 +192,16 @@ def chain_value(datum: SelbergDatum, s: complex, k: int,
     ctx = ctx or DEFAULT_CONTEXT
     arr = np.array([complex(s)])
     f, big_f, est = chain_grid(datum, arr, k, ctx)
-    psi0 = complex(fe_logderiv_grid(datum, arr, 0, ctx)[0, 0])
     fk = complex(f[k, 0])
     val = complex(big_f[k, 0])
-    lead = -0.5 * psi0
     lead_ratio = None
     if k == 0:
         lead_ratio = 1.0 + 0.0j
-    elif abs(lead) > 1e3 * ctx.abs_tol:
-        lead_ratio = fk / lead ** k
-    tail_ratio = val / fk if abs(fk) > 1e3 * ctx.abs_tol else None
+    else:
+        lead = complex(f[1, 0])  # f_1 = -psi/2
+        if abs(lead) > _RATIO_FLOOR:
+            lead_ratio = fk / lead ** k
+    tail_ratio = val / fk if abs(fk) > _RATIO_FLOOR else None
     return ChainValue(complex(s), int(k), fk, val, lead_ratio, tail_ratio, float(est[k, 0]))
 
 
@@ -208,8 +211,8 @@ def chain_derivative(datum: SelbergDatum, s: complex, k: int,
     _check_k(k, cap=_MAX_CHAIN - 1)
     ctx = ctx or DEFAULT_CONTEXT
     arr = np.array([complex(s)])
-    _, big_f, _ = chain_grid(datum, arr, k, ctx, extra=1)
-    psi0 = complex(fe_logderiv_grid(datum, arr, 0, ctx)[0, 0])
+    f, big_f, _ = chain_grid(datum, arr, k, ctx, extra=1)
+    psi0 = -2.0 * complex(f[1, 0])
     return complex(big_f[k + 1, 0]) + 0.5 * psi0 * complex(big_f[k, 0])
 
 

@@ -24,6 +24,7 @@ endings, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -46,9 +47,10 @@ def _parse_kv(text: str) -> tuple[str, str]:
 
 
 def _coerce(key: str, val: str):
-    if key in ("em_cutoff", "em_bernoulli", "cauchy_nodes"):
-        return int(val)
-    return float(val)
+    try:
+        return int(val) if key in ("em_cutoff", "em_bernoulli") else float(val)
+    except ValueError:
+        raise ContextError(f"{key}: cannot parse {val!r} as a number") from None
 
 
 def _build_context(config_path: str | None, overrides: list[str]) -> EvalContext:
@@ -67,7 +69,7 @@ def _build_context(config_path: str | None, overrides: list[str]) -> EvalContext
     return DEFAULT_CONTEXT.with_overrides(**fields_map) if fields_map else DEFAULT_CONTEXT
 
 
-def _add_common(p: argparse.ArgumentParser, *, jobs: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--datum", required=True, help="catalog name (zeta, chi3, chi4, chi5, delta)")
     p.add_argument("--k", type=int, default=0, help="derivative order (default 0)")
     p.add_argument("--config", help="evaluation policy file of key = value lines")
@@ -75,8 +77,6 @@ def _add_common(p: argparse.ArgumentParser, *, jobs: bool = False) -> None:
                    help="override one EvalContext field (repeatable)")
     p.add_argument("--experimental", action="store_true",
                    help="allow experimental catalog entries (delta)")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=1, help="parallel evaluation slices")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -87,11 +87,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_complex_pair(text: str) -> complex:
+def _parse_floats(text: str, shape: str) -> list[float]:
+    """The comma-separated numbers of text, as many as shape names."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ContextError(f"expected RE,IM, got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    try:
+        if len(parts) == shape.count(",") + 1:
+            return [float(x) for x in parts]
+    except ValueError:
+        pass
+    raise ContextError(f"expected {shape}, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,23 +110,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--t", type=float, help="point on the critical line")
-    grp.add_argument("--s", type=_parse_complex_pair, metavar="RE,IM", help="complex point")
+    grp.add_argument("--s", metavar="RE,IM", help="complex point")
 
     p = sub.add_parser("zeros", help="scan for zeros of Z^(k)")
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("interlace", help="audit interlacing of Z^(k) and Z^(k+1) zeros")
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("count", help="compare the on-line count with theta/pi + S(T)")
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
 
@@ -134,14 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rectangle corners; use --rect=-0.5,1.5,10,32 when SMIN is negative")
 
     p = sub.add_parser("mirror", help="mirror-sum check of d/dt (Z^(k+1)/Z^(k))")
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--window", type=float, required=True)
     p.add_argument("--budget", type=float, default=10.0, help="pass threshold for the fitted constant")
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("sample", help="tabulate (t, Z^(k)(t)) on a uniform grid")
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
@@ -158,14 +162,13 @@ def _run(args: argparse.Namespace) -> None:
 
     ctx = _build_context(args.config, args.set)
     datum = builtin(args.datum, experimental=args.experimental)
-    jobs = getattr(args, "jobs", 1)
 
     if args.command == "eval":
         if args.t is not None:
             r = z_derivative(datum, args.t, args.k, ctx)
             _emit(fmt15(r.value) + "\n", None)
         else:
-            cv = chain_value(datum, args.s, args.k, ctx)
+            cv = chain_value(datum, complex(*_parse_floats(args.s, "RE,IM")), args.k, ctx)
             payload = {
                 "s": fmt15_complex(cv.s),
                 "k": cv.k,
@@ -179,39 +182,37 @@ def _run(args: argparse.Namespace) -> None:
         return
 
     if args.command == "zeros":
-        table = scan_zeros(datum, args.k, args.t0, args.t1, ctx, jobs)
+        table = scan_zeros(datum, args.k, args.t0, args.t1, ctx)
         text = table.to_csv_text() if args.format == "csv" else to_json(table.to_jsonable()) + "\n"
         _emit(text, args.out)
         return
 
     if args.command == "interlace":
-        rep = interlace_audit(datum, args.k, args.t0, args.t1, ctx, jobs)
+        rep = interlace_audit(datum, args.k, args.t0, args.t1, ctx)
         _emit(to_json(rep.to_jsonable()) + "\n", args.out)
         return
 
     if args.command == "count":
-        rep = count_compare(datum, args.k, args.T, ctx, jobs)
+        rep = count_compare(datum, args.k, args.T, ctx)
         _emit(to_json(rep.to_jsonable()) + "\n", args.out)
         return
 
     if args.command == "contour":
-        parts = [float(x) for x in args.rect.split(",")]
-        if len(parts) != 4:
-            raise ContextError("--rect expects SMIN,SMAX,TMIN,TMAX")
-        n = contour_count(datum, args.selector, args.k, Rectangle(*parts), ctx)
+        rect = Rectangle(*_parse_floats(args.rect, "SMIN,SMAX,TMIN,TMAX"))
+        n = contour_count(datum, args.selector, args.k, rect, ctx)
         _emit(str(n) + "\n", None)
         return
 
     if args.command == "mirror":
-        rep = mirror_sum_check(datum, args.k, args.t, args.window, ctx,
-                               c_budget=args.budget, jobs=jobs)
+        rep = mirror_sum_check(datum, args.k, args.t, args.window, ctx, c_budget=args.budget)
         _emit(to_json(rep.to_jsonable()) + "\n", args.out)
         return
 
     if args.command == "sample":
-        n_steps = int(round((args.t1 - args.t0) / args.step))
-        if n_steps < 1 or args.step <= 0:
-            raise ContextError("sample grid must contain at least two points")
+        span = (args.t1 - args.t0) / args.step if args.step > 0 else math.nan
+        n_steps = int(round(span)) if math.isfinite(span) else 0
+        if n_steps < 1:
+            raise ContextError("sample needs a positive --step and at least two grid points")
         ts = args.t0 + args.step * np.arange(n_steps + 1)
         vals, _ = z_grid(datum, ts, args.k, ctx)
         if args.format == "csv":

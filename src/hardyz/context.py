@@ -17,25 +17,21 @@ from .errors import ContextError
 class EvalContext:
     """Evaluation policy knobs.
 
-    abs_tol          target absolute accuracy for function values
     em_cutoff        floor for the Euler-Maclaurin direct-sum length
     em_scale         extra direct-sum terms per unit of |Im s|
     em_bernoulli     number of Bernoulli correction terms (B_2 .. B_{2n})
-    cauchy_radius    radius of the numerical-differentiation circle
-    cauchy_nodes     trapezoid nodes on that circle
     exclusion_radius half-width of the discs carved out around psi poles
     sigma_right_base right abscissa for argument tracking at k = 0
     sigma_right_step increment of that abscissa per derivative order
     refine_tol       zero refinement stops when the bracket is this narrow
     scan_safety      fraction of the mean zero gap used as the scan step
+
+    Every float field must be finite.
     """
 
-    abs_tol: float = 1e-12
     em_cutoff: int = 20
     em_scale: float = 3.0
     em_bernoulli: int = 12
-    cauchy_radius: float = 0.25
-    cauchy_nodes: int = 64
     exclusion_radius: float = 0.1
     sigma_right_base: float = 6.0
     sigma_right_step: float = 2.0
@@ -43,18 +39,16 @@ class EvalContext:
     scan_safety: float = 0.25
 
     def __post_init__(self) -> None:
-        if not (0 < self.abs_tol <= 1e-6):
-            raise ContextError(f"abs_tol out of range: {self.abs_tol}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContextError(f"{f.name} must be finite, got {value}")
         if self.em_cutoff < 10:
             raise ContextError("em_cutoff must be at least 10")
         if self.em_scale < 1.0:
             raise ContextError("em_scale below 1 breaks Euler-Maclaurin accuracy")
         if not (1 <= self.em_bernoulli <= 15):
             raise ContextError("em_bernoulli must lie in 1..15 (table ends at B_30)")
-        if not (0 < self.cauchy_radius <= 0.5):
-            raise ContextError("cauchy_radius must lie in (0, 0.5]")
-        if self.cauchy_nodes < 16 or self.cauchy_nodes % 2:
-            raise ContextError("cauchy_nodes must be an even integer >= 16")
         if not (0 < self.exclusion_radius < 0.5):
             raise ContextError("exclusion_radius must lie in (0, 0.5)")
         if self.sigma_right_base < 2.0 or self.sigma_right_step < 0:

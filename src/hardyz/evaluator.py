@@ -10,8 +10,10 @@ Backends by coefficient provider:
   honest about the slow convergence near the critical line, which is why
   that datum is gated as experimental.
 
-Derivatives come from the Cauchy integral over a small circle evaluated by
-the trapezoid rule, which is spectrally accurate for analytic integrands:
+Derivatives come from the Cauchy integral over a circle of fixed radius
+rho = CAUCHY_RADIUS = 0.25 evaluated by the trapezoid rule on
+M = CAUCHY_NODES = 64 nodes, which is spectrally accurate for analytic
+integrands:
 
     F^(j)(s) = j! / (M rho^j) * sum_m F(s + rho e^(i phi_m)) e^(-i j phi_m).
 
@@ -35,6 +37,9 @@ REAL_MIN = -4.0
 REAL_MAX = 350.0
 IMAG_MAX = 600.0
 
+CAUCHY_RADIUS = 0.25
+CAUCHY_NODES = 64
+
 _MAX_DERIV = 12
 
 
@@ -48,6 +53,8 @@ class LValue:
 
 
 def _check_box(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("s must be finite")
     if np.any(arr.real < REAL_MIN) or np.any(arr.real > REAL_MAX) or np.any(np.abs(arr.imag) > IMAG_MAX):
         raise DomainError(
             f"s outside the supported box [{REAL_MIN}, {REAL_MAX}] x [-{IMAG_MAX}i, {IMAG_MAX}i]"
@@ -157,8 +164,8 @@ def l_derivs_grid(datum: SelbergDatum, s_arr, j_max: int,
     if j_max == 0:
         return out, est
 
-    rho = ctx.cauchy_radius
-    m_nodes = ctx.cauchy_nodes
+    rho = CAUCHY_RADIUS
+    m_nodes = CAUCHY_NODES
     if np.any(arr.real - rho < REAL_MIN) or np.any(arr.real + rho > REAL_MAX):
         raise GeometryError("differentiation circle leaves the evaluation box")
     if datum.pole_order and np.any(np.abs(arr - 1.0) < rho + 0.05):

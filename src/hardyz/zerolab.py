@@ -9,9 +9,10 @@ contour_count     argument-principle count in a rectangle off the real axis
 mirror_sum_check  d/dt (Z^(k+1)/Z^(k)) against the mirrored zero sum
 
 Scan results are cached in-process per (datum and its coefficient provider,
-k, range, context); the --jobs knob only parallelizes evaluation of
-fixed-size slices of the grid, the refinement rounds and the residuals, so
-the numbers are bit-identical whatever the parallelism.
+k, range, context).  Scans evaluate Z^(k) in slices of at most _SLICE
+points, because the series cutoff of a batch follows its highest t: a
+value depends on the slice it falls in, and fixed slices keep it the same
+from run to run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -29,14 +29,16 @@ from .chain import chain_grid, z_grid
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import (InconclusiveContourError, PrecisionError, ProximityError,
                      RangeError, TrackingError)
-from .evaluator import REAL_MAX, REAL_MIN
+from .evaluator import CAUCHY_RADIUS, REAL_MAX, REAL_MIN
 from .fmtio import fmt15
 from .gamma_factor import psi_pole_distance, theta, theta_grid
 
 SCAN_T_MIN = 5.0
 SCAN_T_MAX = 500.0
 SCAN_K_MAX = 6
-_SLICE = 1500  # grid points per evaluation slice, fixed for determinism
+# points per evaluation slice; each slice pays the series cutoff of its own
+# highest t, so changing the slicing changes values on grids longer than this
+_SLICE = 1500
 
 
 @dataclass(frozen=True)
@@ -181,19 +183,11 @@ def _scan_grid(datum: SelbergDatum, t0: float, t1: float, ctx: EvalContext) -> n
     return np.array(pts)
 
 
-def _eval_sliced(datum: SelbergDatum, ts: np.ndarray, k: int, ctx: EvalContext,
-                 jobs: int = 1) -> np.ndarray:
-    """Z^(k) over ts in fixed-size slices, optionally in a thread pool."""
-    slices = [slice(lo, min(lo + _SLICE, ts.size)) for lo in range(0, ts.size, _SLICE)]
+def _eval_sliced(datum: SelbergDatum, ts: np.ndarray, k: int, ctx: EvalContext) -> np.ndarray:
+    """Z^(k) over ts, one z_grid call per slice of _SLICE points."""
     out = np.empty(ts.size, dtype=np.float64)
-    if jobs <= 1 or len(slices) == 1:
-        for sl in slices:
-            out[sl] = z_grid(datum, ts[sl], k, ctx)[0]
-        return out
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(lambda sl: (sl, z_grid(datum, ts[sl], k, ctx)[0]), slices)
-        for sl, vals in results:
-            out[sl] = vals
+    for lo in range(0, ts.size, _SLICE):
+        out[lo:lo + _SLICE] = z_grid(datum, ts[lo:lo + _SLICE], k, ctx)[0]
     return out
 
 
@@ -238,7 +232,7 @@ def _refine_brackets(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
 
 
 def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
-               ctx: EvalContext | None = None, jobs: int = 1) -> ZeroTable:
+               ctx: EvalContext | None = None) -> ZeroTable:
     """Sign-scan [t0, t1] for zeros of Z^(k) and refine each bracket.
 
     The grid step tracks the local zero density (scan_safety times the mean
@@ -260,16 +254,16 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
             return _scan_cache[key]
 
     grid = _scan_grid(datum, t0, t1, ctx)
-    vals = _eval_sliced(datum, grid, k, ctx, jobs)
+    vals = _eval_sliced(datum, grid, k, ctx)
 
     exact = np.flatnonzero(vals == 0.0)
     change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
 
-    lo, hi = _refine_brackets(lambda x: _eval_sliced(datum, x, k, ctx, jobs),
+    lo, hi = _refine_brackets(lambda x: _eval_sliced(datum, x, k, ctx),
                               grid[change], grid[change + 1], vals[change], vals[change + 1],
                               ctx.refine_tol)
     gamma = 0.5 * (lo + hi)
-    residual = np.abs(_eval_sliced(datum, gamma, k, ctx, jobs)) if gamma.size else gamma
+    residual = np.abs(_eval_sliced(datum, gamma, k, ctx)) if gamma.size else gamma
     width = hi - lo
 
     records = sorted(
@@ -298,7 +292,7 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
 
 
 def interlace_audit(datum: SelbergDatum, k: int, t0: float, t1: float,
-                    ctx: EvalContext | None = None, jobs: int = 1) -> InterlaceReport:
+                    ctx: EvalContext | None = None) -> InterlaceReport:
     """Count zeros of Z^(k+1) strictly inside each gap of Z^(k) zeros.
 
     A gap with exactly one inner zero is the interlacing pattern; anything
@@ -308,8 +302,8 @@ def interlace_audit(datum: SelbergDatum, k: int, t0: float, t1: float,
     """
     if not (0 <= k <= SCAN_K_MAX - 1):
         raise RangeError(f"interlace audit needs k+1 <= {SCAN_K_MAX}")
-    base = scan_zeros(datum, k, t0, t1, ctx, jobs)
-    upper = scan_zeros(datum, k + 1, t0, t1, ctx, jobs)
+    base = scan_zeros(datum, k, t0, t1, ctx)
+    upper = scan_zeros(datum, k + 1, t0, t1, ctx)
     gaps = []
     violations = 0
     for left, right in zip(base.gammas, base.gammas[1:]):
@@ -426,7 +420,7 @@ def argument_S(datum: SelbergDatum, k: int, T: float,
 
 
 def count_compare(datum: SelbergDatum, k: int, T: float,
-                  ctx: EvalContext | None = None, jobs: int = 1) -> CountReport:
+                  ctx: EvalContext | None = None) -> CountReport:
     """On-line zero count against the counting formula theta/pi + S(T).
 
     n_line counts sign changes of Z^(k) on (0, T]: a dense fixed grid covers
@@ -440,9 +434,9 @@ def count_compare(datum: SelbergDatum, k: int, T: float,
     if not (0 <= k <= SCAN_K_MAX):
         raise RangeError(f"count comparison supports k <= {SCAN_K_MAX}")
     low = np.arange(0.05, SCAN_T_MIN + 0.005, 0.005)
-    lv = _eval_sliced(datum, low, k, ctx, jobs)
+    lv = _eval_sliced(datum, low, k, ctx)
     low_count = int(np.count_nonzero(np.sign(lv[:-1]) * np.sign(lv[1:]) < 0))
-    table = scan_zeros(datum, k, SCAN_T_MIN, T, ctx, jobs)
+    table = scan_zeros(datum, k, SCAN_T_MIN, T, ctx)
     n_line = low_count + len(table.gammas)
     theta_term = theta(datum, T).theta / math.pi
     s_measured = argument_S(datum, k, T, ctx)
@@ -482,8 +476,7 @@ def contour_count(datum: SelbergDatum, selector: str, k: int, rect: Rectangle,
         raise RangeError("degenerate rectangle")
     if rect.t_min < 1.0 or rect.t_max > SCAN_T_MAX:
         raise RangeError("rectangle must satisfy 1 <= t_min < t_max <= 500")
-    rho = ctx.cauchy_radius
-    if rect.sigma_min < REAL_MIN + rho or rect.sigma_max > REAL_MAX - rho:
+    if rect.sigma_min < REAL_MIN + CAUCHY_RADIUS or rect.sigma_max > REAL_MAX - CAUCHY_RADIUS:
         raise RangeError("rectangle leaves the evaluation box")
 
     def logderiv(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -525,8 +518,7 @@ def contour_count(datum: SelbergDatum, selector: str, k: int, rect: Rectangle,
 
 
 def mirror_sum_check(datum: SelbergDatum, k: int, t: float, window: float,
-                     ctx: EvalContext | None = None, c_budget: float = 10.0,
-                     jobs: int = 1) -> MirrorReport:
+                     ctx: EvalContext | None = None, c_budget: float = 10.0) -> MirrorReport:
     """Compare d/dt (Z^(k+1)/Z^(k)) at t with -sum 1/(t-gamma)^2.
 
     The sum runs over zeros of Z^(k) within the window; the tail beyond it
@@ -540,7 +532,7 @@ def mirror_sum_check(datum: SelbergDatum, k: int, t: float, window: float,
         raise RangeError("window must be at least 5")
     if t - window < SCAN_T_MIN or t + window > SCAN_T_MAX:
         raise RangeError("window must stay inside the scannable range [5, 500]")
-    table = scan_zeros(datum, k, t - window, t + window, ctx, jobs)
+    table = scan_zeros(datum, k, t - window, t + window, ctx)
     gam = np.array(table.gammas)
     if gam.size and float(np.min(np.abs(gam - t))) <= ctx.refine_tol:
         raise ProximityError(f"t = {t} coincides with a zero of Z^({k})")

@@ -121,6 +121,34 @@ def test_exit_code_validation_errors(capsys):
     # refined forever
     assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "100", "--t1", "102",
                         "--set", "refine_tol=1e-15"])[0] == 2
+    # non-finite context values and points
+    for kv in ("em_scale=nan", "em_scale=inf", "sigma_right_base=nan"):
+        assert run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])[0] == 2
+    assert run(capsys, ["eval", "--datum", "zeta", "--t", "nan"])[0] == 2
+    assert run(capsys, ["eval", "--datum", "zeta", "--s", "nan,20"])[0] == 2
+    # malformed values are reported, not raised as tracebacks
+    assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
+                        "--set", "em_cutoff=abc"])[0] == 2
+    assert run(capsys, ["eval", "--datum", "zeta", "--s", "1,2,3"])[0] == 2
+    for step in ("0", "nan"):
+        assert run(capsys, ["sample", "--datum", "zeta", "--t0", "14", "--t1", "15",
+                            "--step", step])[0] == 2
+    assert run(capsys, ["contour", "--datum", "zeta", "--rect=a,b,c,d"])[0] == 2
+
+
+def test_jobs_flag_is_gone():
+    for argv in (["zeros", "--t0", "10", "--t1", "20"], ["interlace", "--t0", "20", "--t1", "40"],
+                 ["count", "--T", "50"], ["mirror", "--t", "100", "--window", "40"],
+                 ["sample", "--t0", "14", "--t1", "15", "--step", "0.25"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--datum", "zeta", "--jobs", "2"])
+        assert exc.value.code == 2
+
+
+def test_fixed_settings_are_not_context_fields(capsys):
+    for kv in ("cauchy_radius=0.2", "cauchy_nodes=32", "abs_tol=1e-10"):
+        rc, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])
+        assert rc == 2 and "unknown context fields" in err
 
 
 def test_exit_code_inconclusive(capsys):
@@ -143,6 +171,10 @@ def test_config_file_and_overrides(tmp_path, capsys):
     rc3, _, _ = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0",
                              "--config", str(cfg), "--set", "em_scale=0.1"])
     assert rc3 == 2
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("em_scale = fast\n")
+    rc4, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0", "--config", str(bad)])
+    assert rc4 == 2 and "em_scale" in err
 
 
 def test_repeat_invocations_byte_identical(capsys):

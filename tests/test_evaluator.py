@@ -2,13 +2,14 @@
 reflection for the cusp-form datum, guard rails."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from hardyz.catalog import builtin, coefficients
 from hardyz.context import DEFAULT_CONTEXT
-from hardyz.errors import DomainError, GeometryError, PoleError
+from hardyz.errors import ContextError, DomainError, GeometryError, PoleError
 from hardyz.evaluator import l_derivs_grid, l_value, l_value_grid
 from hardyz.gamma_factor import fe_factor
 
@@ -101,8 +102,21 @@ def test_box_guards():
         l_value(zeta, complex(2.0, 700.0))
     with pytest.raises(PoleError):
         l_value(zeta, complex(1.0, 0.0))
+    for s in (complex(math.nan, 20.0), complex(0.5, math.nan), complex(0.5, math.inf)):
+        with pytest.raises(DomainError):
+            l_value(zeta, s)
     # characters are entire: s = 1 is a regular point
     assert np.isfinite(l_value(builtin("chi4"), complex(1.0, 0.0)).value.real)
+
+
+def test_context_rejects_non_finite_fields():
+    floats = [f.name for f in fields(DEFAULT_CONTEXT)
+              if isinstance(getattr(DEFAULT_CONTEXT, f.name), float)]
+    assert len(floats) == 6
+    for name in floats:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContextError):
+                DEFAULT_CONTEXT.with_overrides(**{name: bad})
 
 
 def test_cusp_series_against_truncated_sum():

@@ -43,17 +43,18 @@ def test_scan_chi4_zeros_multiprecision():
     assert np.max(np.abs(np.array(table.gammas) - np.array(CHI4_ZEROS))) < 1e-8
 
 
-def test_scan_jobs_determinism(monkeypatch):
+def test_scan_slicing_determinism(monkeypatch):
     zeta = builtin("zeta")
     ctx = DEFAULT_CONTEXT
-    ts = np.linspace(60.0, 120.0, 2 * zerolab._SLICE + 7)  # three slices
-    serial = _eval_sliced(zeta, ts, 0, ctx, jobs=1)
-    assert np.array_equal(serial, _eval_sliced(zeta, ts, 0, ctx, jobs=2))
-    # jobs is not part of the cache key, so each scan starts from an empty cache
+    n = zerolab._SLICE
+    ts = np.linspace(60.0, 120.0, 2 * n + 7)  # three slices
+    per_slice = [z_grid(zeta, ts[lo:lo + n], 0, ctx)[0] for lo in (0, n, 2 * n)]
+    assert np.array_equal(_eval_sliced(zeta, ts, 0, ctx), np.concatenate(per_slice))
+    # the second scan would be a cache hit without emptying the cache
     monkeypatch.setattr(zerolab, "_scan_cache", {})
-    table = scan_zeros(zeta, 0, 60.0, 120.0, ctx, jobs=1)
+    table = scan_zeros(zeta, 0, 60.0, 120.0, ctx)
     monkeypatch.setattr(zerolab, "_scan_cache", {})
-    assert scan_zeros(zeta, 0, 60.0, 120.0, ctx, jobs=2) == table
+    assert scan_zeros(zeta, 0, 60.0, 120.0, ctx) == table
 
 
 def _refine_checked(f, lo, hi, tol=1e-9):
