@@ -56,13 +56,17 @@ def _coerce(key: str, val: str):
 def _build_context(config_path: str | None, overrides: list[str]) -> EvalContext:
     fields_map: dict[str, object] = {}
     if config_path:
-        with open(config_path, "r", encoding="ascii") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, val = _parse_kv(line)
-                fields_map[key] = _coerce(key, val)
+        try:
+            with open(config_path, "r", encoding="ascii") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ContextError(f"cannot read config file: {exc}") from None
+        for raw in lines:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, val = _parse_kv(line)
+            fields_map[key] = _coerce(key, val)
     for item in overrides or []:
         key, val = _parse_kv(item)
         fields_map[key] = _coerce(key, val)

@@ -18,7 +18,9 @@ class EvalContext:
     """Evaluation policy knobs.
 
     em_cutoff        floor for the Euler-Maclaurin direct-sum length
-    em_scale         extra direct-sum terms per unit of |Im s|
+    em_scale         direct-sum terms per unit of |Im s|, sized per point
+                     (specfun.series_terms rounds the excess over
+                     em_cutoff up to a multiple of 32)
     em_bernoulli     number of Bernoulli correction terms (B_2 .. B_{2n})
     exclusion_radius half-width of the discs carved out around psi poles
     sigma_right_base right abscissa for argument tracking at k = 0
@@ -30,7 +32,7 @@ class EvalContext:
     """
 
     em_cutoff: int = 20
-    em_scale: float = 3.0
+    em_scale: float = 1.0
     em_bernoulli: int = 12
     exclusion_radius: float = 0.1
     sigma_right_base: float = 6.0
@@ -61,7 +63,8 @@ class EvalContext:
             raise ContextError("scan_safety must lie in (0, 0.5]")
 
     def em_terms(self, im_max: float) -> int:
-        """Direct-sum length for points with |Im s| up to im_max."""
+        """Direct-sum length for a point with |Im s| = im_max, before the
+        rounding up to a tier in specfun.series_terms."""
         return max(self.em_cutoff, int(math.ceil(self.em_scale * abs(im_max))))
 
     def sigma_right(self, k: int) -> float:

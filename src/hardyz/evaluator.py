@@ -31,7 +31,7 @@ import numpy as np
 from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import DomainError, GeometryError, PoleError, UnsupportedOrderError
-from .specfun import hurwitz_zeta
+from .specfun import hurwitz_zeta, series_terms, tier_chunks
 
 REAL_MIN = -4.0
 REAL_MAX = 350.0
@@ -85,24 +85,19 @@ def _periodic_grid(datum: SelbergDatum, arr: np.ndarray, ctx: EvalContext) -> tu
 
 
 def _cusp_series_grid(datum: SelbergDatum, arr: np.ndarray, ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:
-    im_max = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
-    n_terms = max(ctx.em_terms(im_max), 16 * ctx.em_cutoff)
-    coeff = datum.coefficient_block(n_terms)
-    logs = np.log(np.arange(1, n_terms + 1, dtype=np.float64))
-    vals = np.zeros_like(arr)
-    # chunk over points so points x terms stays bounded
-    step = max(1, 4_000_000 // n_terms)
-    for lo in range(0, arr.size, step):
-        hi = min(lo + step, arr.size)
-        ex = np.exp(np.multiply.outer(-arr[lo:hi], logs))
-        vals[lo:hi] = ex @ coeff
+    lengths = series_terms(arr.imag, ctx, floor=16 * ctx.em_cutoff)
+    vals = np.empty_like(arr)
+    for idx, n in tier_chunks(lengths):
+        logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+        ex = np.exp(np.multiply.outer(-arr[idx], logs))
+        vals[idx] = (ex * datum.coefficient_block(n)).sum(axis=1)
     # tail estimate: |a(n)| <= d(n), and sum_{n>N} d(n) n^(-sigma) has the
     # closed form  N^(1-sigma) (log N / (sigma-1) + 1/(sigma-1)^2)  for
     # sigma > 1; below that the bound is propagated from sigma = 1.05 and is
     # honest about being large.
     sig = np.minimum(arr.real, 350.0)
     sig_eff = np.maximum(sig, 1.05)
-    ln = math.log(n_terms)
+    ln = np.log(lengths)
     tail = np.exp((1.0 - sig_eff) * ln) * (ln / (sig_eff - 1.0) + 1.0 / (sig_eff - 1.0) ** 2)
     slack = np.where(sig < 1.05, np.exp((1.05 - sig) * ln), 1.0)
     errs = tail * slack + 5e-15 * np.abs(vals)
@@ -180,7 +175,9 @@ def l_derivs_grid(datum: SelbergDatum, s_arr, j_max: int,
     mean_err = ne.mean(axis=0)
     for j in range(1, j_max + 1):
         w = np.exp(-1j * j * phi) / m_nodes            # (M,)
-        out[j] = math.factorial(j) / rho ** j * (w @ nv)
+        # summed node by node in a fixed order, so each value is the same in
+        # any batch (a BLAS product may regroup the sum)
+        out[j] = math.factorial(j) / rho ** j * np.cumsum(w[:, None] * nv, axis=0)[-1]
         est[j] = math.factorial(j) / rho ** j * (mean_err + 2e-16 * np.abs(nv).max(axis=0))
     return out, est
 

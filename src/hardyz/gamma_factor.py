@@ -30,7 +30,8 @@ import numpy as np
 
 from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
-from .errors import ExcludedRegionError, PoleError, RangeError, UnsupportedOrderError
+from .errors import (DomainError, ExcludedRegionError, PoleError, RangeError,
+                     UnsupportedOrderError)
 from .specfun import log_gamma, polygamma
 
 _MAX_PSI_ORDER = 15  # polygamma table supports one more than this
@@ -110,6 +111,8 @@ def fe_logderiv_grid(datum: SelbergDatum, s_arr: np.ndarray, max_order: int,
     if max_order < 0 or max_order > _MAX_PSI_ORDER:
         raise UnsupportedOrderError(f"psi derivative order must lie in 0..{_MAX_PSI_ORDER}")
     arr = np.asarray(s_arr, dtype=np.complex128)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("s must be finite")
     _require_outside_exclusion(datum, arr, ctx)
     out = np.zeros((max_order + 1,) + arr.shape, dtype=np.complex128)
     out[0] = -2.0 * math.log(datum.q_factor)
@@ -136,6 +139,8 @@ def theta_grid(datum: SelbergDatum, t_arr: np.ndarray,
     """theta(t) and theta'(t) over a real grid, both real arrays."""
     del ctx
     t = np.asarray(t_arr, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("t must be finite")
     theta = t * math.log(datum.q_factor)
     theta_p = np.full(t.shape, math.log(datum.q_factor))
     for lam, mu in zip(datum.lambdas, datum.mus):

@@ -9,10 +9,8 @@ contour_count     argument-principle count in a rectangle off the real axis
 mirror_sum_check  d/dt (Z^(k+1)/Z^(k)) against the mirrored zero sum
 
 Scan results are cached in-process per (datum and its coefficient provider,
-k, range, context).  Scans evaluate Z^(k) in slices of at most _SLICE
-points, because the series cutoff of a batch follows its highest t: a
-value depends on the slice it falls in, and fixed slices keep it the same
-from run to run.
+k, range, context).  Scans pass whole grids to z_grid: every value is a
+function of (datum, t, k, context) alone, whatever batch it is computed in.
 """
 
 from __future__ import annotations
@@ -36,9 +34,6 @@ from .gamma_factor import psi_pole_distance, theta, theta_grid
 SCAN_T_MIN = 5.0
 SCAN_T_MAX = 500.0
 SCAN_K_MAX = 6
-# points per evaluation slice; each slice pays the series cutoff of its own
-# highest t, so changing the slicing changes values on grids longer than this
-_SLICE = 1500
 
 
 @dataclass(frozen=True)
@@ -183,14 +178,6 @@ def _scan_grid(datum: SelbergDatum, t0: float, t1: float, ctx: EvalContext) -> n
     return np.array(pts)
 
 
-def _eval_sliced(datum: SelbergDatum, ts: np.ndarray, k: int, ctx: EvalContext) -> np.ndarray:
-    """Z^(k) over ts, one z_grid call per slice of _SLICE points."""
-    out = np.empty(ts.size, dtype=np.float64)
-    for lo in range(0, ts.size, _SLICE):
-        out[lo:lo + _SLICE] = z_grid(datum, ts[lo:lo + _SLICE], k, ctx)[0]
-    return out
-
-
 def _refine_brackets(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
                      fhi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Shrink sign-change brackets of f until each is at most tol wide.
@@ -254,16 +241,16 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
             return _scan_cache[key]
 
     grid = _scan_grid(datum, t0, t1, ctx)
-    vals = _eval_sliced(datum, grid, k, ctx)
+    vals = z_grid(datum, grid, k, ctx)[0]
 
     exact = np.flatnonzero(vals == 0.0)
     change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
 
-    lo, hi = _refine_brackets(lambda x: _eval_sliced(datum, x, k, ctx),
+    lo, hi = _refine_brackets(lambda x: z_grid(datum, x, k, ctx)[0],
                               grid[change], grid[change + 1], vals[change], vals[change + 1],
                               ctx.refine_tol)
     gamma = 0.5 * (lo + hi)
-    residual = np.abs(_eval_sliced(datum, gamma, k, ctx)) if gamma.size else gamma
+    residual = np.abs(z_grid(datum, gamma, k, ctx)[0]) if gamma.size else gamma
     width = hi - lo
 
     records = sorted(
@@ -434,7 +421,7 @@ def count_compare(datum: SelbergDatum, k: int, T: float,
     if not (0 <= k <= SCAN_K_MAX):
         raise RangeError(f"count comparison supports k <= {SCAN_K_MAX}")
     low = np.arange(0.05, SCAN_T_MIN + 0.005, 0.005)
-    lv = _eval_sliced(datum, low, k, ctx)
+    lv = z_grid(datum, low, k, ctx)[0]
     low_count = int(np.count_nonzero(np.sign(lv[:-1]) * np.sign(lv[1:]) < 0))
     table = scan_zeros(datum, k, SCAN_T_MIN, T, ctx)
     n_line = low_count + len(table.gammas)

@@ -108,7 +108,7 @@ def test_sample_grid(capsys):
     assert lines[3].split(",")[1] == fmt15(float(ref[0]))
 
 
-def test_exit_code_validation_errors(capsys):
+def test_exit_code_validation_errors(capsys, tmp_path):
     assert run(capsys, ["eval", "--datum", "nope", "--t", "10"])[0] == 2
     assert run(capsys, ["eval", "--datum", "delta", "--t", "10"])[0] == 2
     assert run(capsys, ["zeros", "--datum", "zeta", "--k", "0",
@@ -134,6 +134,9 @@ def test_exit_code_validation_errors(capsys):
         assert run(capsys, ["sample", "--datum", "zeta", "--t0", "14", "--t1", "15",
                             "--step", step])[0] == 2
     assert run(capsys, ["contour", "--datum", "zeta", "--rect=a,b,c,d"])[0] == 2
+    rc, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18",
+                              "--config", str(tmp_path / "missing.cfg")])
+    assert rc == 2 and err.startswith("error:")
 
 
 def test_jobs_flag_is_gone():

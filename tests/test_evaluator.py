@@ -163,9 +163,14 @@ def test_est_error_honest_against_refinement():
 
 
 def test_grid_matches_scalar():
-    # a scalar call is a one-point grid, so the single-element comparison is
-    # bitwise; mixed batches share one truncation point and agree to the bars
-    zeta = builtin("zeta")
-    for s in (complex(0.5, 12.0), complex(1.7, 44.0)):
-        one, _ = l_value_grid(zeta, np.array([s]))
-        assert complex(one[0]) == l_value(zeta, s).value
+    # each point sizes its own series, so a point gives the same bits alone,
+    # in a mixed batch and through the derivative circle
+    ss = np.array([complex(0.5, 12.0), complex(1.7, 44.0), complex(-1.5, 420.0)])
+    for name in ("zeta", "chi4", "chi5"):
+        datum = builtin(name)
+        grid, grid_est = l_value_grid(datum, ss)
+        derivs, _ = l_derivs_grid(datum, ss, 2)
+        for i, s in enumerate(ss):
+            one = l_value(datum, s)
+            assert (one.value, one.est_error) == (complex(grid[i]), float(grid_est[i]))
+            assert np.array_equal(l_derivs_grid(datum, ss[i:i + 1], 2)[0][:, 0], derivs[:, i])

@@ -8,7 +8,7 @@ import pytest
 
 from hardyz.catalog import builtin
 from hardyz.context import DEFAULT_CONTEXT
-from hardyz.errors import ExcludedRegionError, PoleError, RangeError
+from hardyz.errors import DomainError, ExcludedRegionError, PoleError, RangeError
 from hardyz.gamma_factor import (fe_factor, fe_logderiv, fe_logderiv_grid,
                                  psi_pole_distance, theta, theta_asymptotic,
                                  theta_grid)
@@ -165,6 +165,22 @@ def test_exclusion_circle_refusal():
     loose = DEFAULT_CONTEXT.with_overrides(exclusion_radius=0.02)
     val = fe_logderiv(builtin("zeta"), complex(1.05, 0.0), ctx=loose)
     assert np.isfinite(val.real)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_points_are_refused():
+    # refused at entry, before polygamma or log_gamma warns on NaN
+    zeta = builtin("zeta")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            theta(zeta, bad)
+        with pytest.raises(DomainError):
+            theta_grid(zeta, np.array([20.0, bad]))
+        for s in (complex(bad, 20.0), complex(0.5, bad)):
+            with pytest.raises(DomainError):
+                fe_logderiv(zeta, s)
+            with pytest.raises(DomainError):
+                fe_logderiv_grid(zeta, np.array([complex(0.5, 20.0), s]), 2)
 
 
 def test_psi_residues_at_gateway_poles():

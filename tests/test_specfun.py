@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import DomainError, PoleError, UnsupportedOrderError
-from hardyz.specfun import hurwitz_zeta, log_gamma, polygamma, _bernoulli_exact
+from hardyz.specfun import (_bernoulli_exact, hurwitz_zeta, log_gamma, polygamma,
+                            series_terms)
 
 from oracles import (HURWITZ_REFS, LOGGAMMA_REFS, POLYGAMMA_REFS, STIELTJES_1,
                      fd_derivative)
@@ -205,12 +207,23 @@ def test_hurwitz_repeat_call_determinism():
 
 
 def test_hurwitz_vector_scalar_agreement():
-    # the truncation point is chosen per batch from the largest |Im s|, so
-    # different batch compositions agree within the reported bars, not bitwise
-    ss = np.array([complex(0.5, 10.0), complex(2.0, 40.0), complex(-1.0, 3.0)])
-    vec, vec_est = hurwitz_zeta(ss, a=0.75, deriv=1, with_error=True)
-    for i, s in enumerate(ss):
-        one, one_est = hurwitz_zeta(np.array([s]), a=0.75, deriv=1,
-                                    with_error=True)
-        assert abs(complex(vec[i]) - complex(one[0])) \
-            <= float(vec_est[i]) + float(one_est[0])
+    # each point sizes its own direct sum, so a value and its estimate do
+    # not depend on the batch they are computed in
+    ss = np.array([complex(0.5, 10.0), complex(2.0, 40.0), complex(-1.0, 3.0),
+                   complex(0.5, 480.0)])
+    for sub_pole in (False, True):
+        vec, vec_est = hurwitz_zeta(ss, a=0.75, deriv=1, with_error=True, sub_pole=sub_pole)
+        for i, s in enumerate(ss):
+            one, one_est = hurwitz_zeta(np.array([s]), a=0.75, deriv=1,
+                                        with_error=True, sub_pole=sub_pole)
+            assert one[0] == vec[i] and one_est[0] == vec_est[i]
+
+
+def test_hurwitz_series_length_per_point():
+    ctx = DEFAULT_CONTEXT
+    im = np.array([0.0, 3.0, 20.0, 20.5, 52.0, 52.5, 499.2, -499.2])
+    n = series_terms(im, ctx)
+    assert list(n) == [20, 20, 20, 52, 52, 84, 500, 500]
+    for x, m in zip(im, n):
+        assert m >= ctx.em_terms(abs(x)) and (m - ctx.em_cutoff) % 32 == 0
+    assert list(series_terms(im[:3], ctx, floor=320)) == [320, 320, 320]

@@ -14,9 +14,9 @@ from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import (InconclusiveContourError, ProximityError,
                            RangeError)
 from hardyz.gamma_factor import theta
-from hardyz.zerolab import (Rectangle, _eval_sliced, _refine_brackets,
-                            argument_S, contour_count, count_compare,
-                            interlace_audit, mirror_sum_check, scan_zeros)
+from hardyz.zerolab import (Rectangle, _refine_brackets, argument_S,
+                            contour_count, count_compare, interlace_audit,
+                            mirror_sum_check, scan_zeros)
 
 from oracles import (CHI4_ZEROS, ZETA_PRIME_ZEROS, ZETA_SECOND_ZEROS,
                      ZETA_ZEROS, theta_reference)
@@ -43,18 +43,27 @@ def test_scan_chi4_zeros_multiprecision():
     assert np.max(np.abs(np.array(table.gammas) - np.array(CHI4_ZEROS))) < 1e-8
 
 
-def test_scan_slicing_determinism(monkeypatch):
-    zeta = builtin("zeta")
+@pytest.mark.parametrize("name", ["zeta", "chi4"])
+def test_z_grid_batch_invariance(name, monkeypatch):
+    # a value is a function of (datum, t, k, ctx): permuted batches, random
+    # subsets and single points give the same bits
+    datum = builtin(name)
     ctx = DEFAULT_CONTEXT
-    n = zerolab._SLICE
-    ts = np.linspace(60.0, 120.0, 2 * n + 7)  # three slices
-    per_slice = [z_grid(zeta, ts[lo:lo + n], 0, ctx)[0] for lo in (0, n, 2 * n)]
-    assert np.array_equal(_eval_sliced(zeta, ts, 0, ctx), np.concatenate(per_slice))
+    rng = np.random.default_rng(20)
+    ts = np.sort(rng.uniform(5.0, 500.0, 96))
+    for k in (0, 1, 3):
+        full = z_grid(datum, ts, k, ctx)[0]
+        perm = rng.permutation(ts.size)
+        assert np.array_equal(z_grid(datum, ts[perm], k, ctx)[0], full[perm])
+        sub = np.sort(rng.choice(ts.size, 17, replace=False))
+        assert np.array_equal(z_grid(datum, ts[sub], k, ctx)[0], full[sub])
+        for i in sub[:4]:
+            assert z_grid(datum, ts[i:i + 1], k, ctx)[0][0] == full[i]
     # the second scan would be a cache hit without emptying the cache
     monkeypatch.setattr(zerolab, "_scan_cache", {})
-    table = scan_zeros(zeta, 0, 60.0, 120.0, ctx)
+    table = scan_zeros(datum, 0, 60.0, 120.0, ctx)
     monkeypatch.setattr(zerolab, "_scan_cache", {})
-    assert scan_zeros(zeta, 0, 60.0, 120.0, ctx) == table
+    assert scan_zeros(datum, 0, 60.0, 120.0, ctx) == table
 
 
 def _refine_checked(f, lo, hi, tol=1e-9):
