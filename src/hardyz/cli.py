@@ -85,8 +85,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise HardyZError(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 

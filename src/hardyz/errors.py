@@ -2,8 +2,8 @@
 
 Everything raised on purpose derives from HardyZError so the CLI can map
 failures to exit codes: validation and domain problems exit 2, numerically
-inconclusive results (contour winding off an integer, phase tracking
-underflow) exit 3.
+inconclusive results (a contour count that cannot be trusted, a phase walk
+that cannot follow the argument) exit 3.
 """
 
 from __future__ import annotations
@@ -59,11 +59,14 @@ class PrecisionError(HardyZError):
 
 
 class InconclusiveContourError(HardyZError):
-    """Winding number too far from an integer to trust the count."""
+    """Rectangle count not to be trusted: the phase walk could not follow the
+    argument, the function nearly vanishes on an edge, or the winding number
+    is off an integer (each a sign of a zero on or near the boundary)."""
 
 
 class TrackingError(HardyZError):
-    """Continuous-argument tracking step underflowed (zero on or near path)."""
+    """The phase walk of argument tracking could not follow the argument
+    (a zero on or near the path)."""
 
 
 class ProximityError(DomainError):

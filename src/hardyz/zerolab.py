@@ -3,19 +3,21 @@
 scan_zeros        sign-scan on a density-matched grid, brackets refined by
                   safeguarded Illinois (regula-falsi) steps
 interlace_audit   zeros of Z^(k+1) between consecutive zeros of Z^(k)
-argument_S        S(T) by continuous argument tracking of F_k
+argument_S        S(T) by a phase walk of F_k
 count_compare     on-line count against theta/pi + S(T)
-contour_count     argument-principle count in a rectangle off the real axis
+contour_count     argument-principle count in a rectangle off the real axis,
+                  by a phase walk of F_k or f_k around its boundary
 mirror_sum_check  d/dt (Z^(k+1)/Z^(k)) against the mirrored zero sum
 
 Scan results are cached in-process per (datum and its coefficient provider,
 k, range, context).  Scans pass whole grids to z_grid: every value is a
 function of (datum, t, k, context) alone, whatever batch it is computed in.
+argument_S and contour_count share one arg-change integrator, _phase_walk,
+which evaluates all the points of one refinement round in one batch.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from dataclasses import astuple, dataclass
@@ -23,7 +25,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .catalog import SelbergDatum
-from .chain import chain_grid, z_grid
+from .chain import chain_grid, coeff_stack_grid, z_grid
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import (InconclusiveContourError, PrecisionError, ProximityError,
                      RangeError, TrackingError)
@@ -312,13 +314,6 @@ def _tracking_abscissa(datum: SelbergDatum, k: int, ctx: EvalContext) -> float:
     raise PrecisionError("could not place the tracking line away from psi poles")
 
 
-def _chain_pair(datum: SelbergDatum, s_arr: np.ndarray, k: int, ctx: EvalContext):
-    """(F_k, F_{k+1}, psi) over a batch from one shared evaluation."""
-    f, big_f, _ = chain_grid(datum, s_arr, k, ctx, extra=1)
-    psi = -2.0 * f[1]
-    return big_f[k], big_f[k + 1], psi
-
-
 def _guard_tracking_line(datum: SelbergDatum, k: int, sigma: float, t_top: float,
                          ctx: EvalContext) -> None:
     """The count interpretation needs F_k zero-free right of the line.
@@ -333,59 +328,72 @@ def _guard_tracking_line(datum: SelbergDatum, k: int, sigma: float, t_top: float
         return
     ts = np.linspace(SCAN_T_MIN, t_top, 9)
     pts = sigma + 1j * ts
-    f, big_f, _ = chain_grid(datum, pts, k, ctx, extra=1)
+    # f_1 = -psi/2 from the coefficient stack alone: at k = 0, F_1 would
+    # cost a derivative circle around every point
+    f = coeff_stack_grid(datum, pts, max(k, 1), ctx)
     psi = -2.0 * f[1]
     if np.any(psi.real >= 0.0):
         raise PrecisionError("Re psi >= 0 on the tracking line; increase sigma_right")
     if np.any(np.abs(f[k]) == 0.0):
         raise PrecisionError("f_k vanishes on the tracking line; increase sigma_right")
-    ratio = big_f[k] / f[k]
+    ratio = chain_grid(datum, pts, k, ctx)[1][k] / f[k]
     if np.any(np.abs(ratio - 1.0) > 0.9):
         raise PrecisionError("F_k strays from its dominant power on the tracking line; increase sigma_right")
 
 
-def _track_segment(datum: SelbergDatum, k: int, s_from: complex, s_to: complex,
-                   ctx: EvalContext, start_val: complex) -> tuple[float, complex]:
-    """Continuous-argument variation of F_k along a segment.
+def _phase_walk(values, corners, err) -> tuple[float, list[np.ndarray]]:
+    """Continuous change of arg of values(s) along the polyline through corners.
 
-    Adaptive stepping keeps each phase increment below pi/4; steps halve on
-    violation and underflow raises TrackingError.
+    values maps an array of points to complex values.  Each segment starts
+    as 32 equal steps, and each round evaluates the midpoints of all open
+    steps in one call.  A step closes when its phase increment and those of
+    both its halves are each at most pi/2; three such increments cannot
+    differ by a turn of 2 pi, so no aliased turn hides in a closed step,
+    which adds its two half increments to the change.  Any other step splits
+    at its midpoint, and one that must split while narrower than
+    1e-7 max(1, length of its segment) raises err.  The change is a sum of
+    principal increments between sampled values: it needs no derivative and
+    no quadrature tolerance.
+
+    Returns the change and, per segment, every value sampled on it, the
+    value at the segment's start first.
     """
-    length = abs(s_to - s_from)
-    direction = (s_to - s_from) / length
-    pos = 0.0
-    cur = start_val
-    total = 0.0
-    step = min(1.0, 0.25 * length)
-    min_step = 1e-7 * max(1.0, length)
-    while pos < length:
-        h = min(step, length - pos)
-        while True:
-            nxt_val = _chain_scalar(datum, s_from + (pos + h) * direction, k, ctx)
-            dphi = cmath.phase(nxt_val / cur)
-            if abs(dphi) <= math.pi / 4 or h <= min_step:
-                break
-            h *= 0.5
-        if h <= min_step and abs(dphi) > math.pi / 2:
-            raise TrackingError(f"phase step underflow near s = {s_from + pos * direction}")
-        total += dphi
-        cur = nxt_val
-        pos += h
-        step = min(step * 1.6, 2.0) if abs(dphi) < math.pi / 16 else max(h, min_step)
-    return total, cur
-
-
-def _chain_scalar(datum: SelbergDatum, s: complex, k: int, ctx: EvalContext) -> complex:
-    _, big_f, _ = chain_grid(datum, np.array([s]), k, ctx)
-    return complex(big_f[k, 0])
+    corners = np.asarray(corners, dtype=np.complex128)
+    floor = 1e-7 * np.maximum(1.0, np.abs(np.diff(corners)))
+    nodes = corners[:-1, None] + np.diff(corners)[:, None] * np.linspace(0.0, 1.0, 33)
+    vals = values(nodes.ravel()).reshape(nodes.shape)
+    a, b = nodes[:, :-1].ravel(), nodes[:, 1:].ravel()
+    va, vb = vals[:, :-1].ravel(), vals[:, 1:].ravel()
+    seg = np.repeat(np.arange(corners.size - 1), 32)
+    seen, turns = [[v] for v in vals], []
+    while a.size:
+        mid = 0.5 * (a + b)
+        vm = values(mid)
+        d1, d2 = np.angle(vm / va), np.angle(vb / vm)
+        done = np.maximum(np.abs(np.angle(vb / va)),
+                          np.maximum(np.abs(d1), np.abs(d2))) <= 0.5 * math.pi
+        stuck = ~done & (np.abs(b - a) < floor[seg])
+        if stuck.any():
+            i = np.flatnonzero(stuck)[0]
+            raise err(f"arg turns too fast to follow on segment {seg[i]} near "
+                      f"s = {complex(mid[i])}; a zero may sit on or near it")
+        turns.append(d1[done] + d2[done])
+        for i, on_seg in enumerate(seen):
+            on_seg.append(vm[seg == i])
+        split = ~done
+        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        va, vb = np.concatenate([va[split], vm[split]]), np.concatenate([vm[split], vb[split]])
+        seg = np.tile(seg[split], 2)
+    return math.fsum(np.concatenate(turns)), [np.concatenate(v) for v in seen]
 
 
 def argument_S(datum: SelbergDatum, k: int, T: float,
                ctx: EvalContext | None = None) -> float:
     """S(T) for F_k: (1/pi) arg variation along sigma_r -> sigma_r + iT -> 1/2 + iT.
 
-    The start is on the real axis where F_k is real and positive, so the
-    tracked variation is the full argument.
+    The variation comes from one phase walk of F_k along the path (see
+    _phase_walk).  The start is on the real axis where F_k is real, so the
+    walked variation is the full argument.
     """
     ctx = ctx or DEFAULT_CONTEXT
     if not (SCAN_T_MIN <= T <= SCAN_T_MAX):
@@ -394,16 +402,16 @@ def argument_S(datum: SelbergDatum, k: int, T: float,
         raise RangeError(f"argument tracking supports k <= {SCAN_K_MAX}")
     sigma = _tracking_abscissa(datum, k, ctx)
     _guard_tracking_line(datum, k, sigma, T, ctx)
-    start = _chain_scalar(datum, complex(sigma), k, ctx)
+    turn, samples = _phase_walk(lambda s: chain_grid(datum, s, k, ctx)[1][k],
+                                [sigma, complex(sigma, T), complex(0.5, T)], TrackingError)
+    start = complex(samples[0][0])
     if abs(start) < 1e-9 or abs(start.imag) > 1e-6 * abs(start):
         raise PrecisionError("F_k not usably real at the tracking start; increase sigma_right")
     # F_k(sigma) is real but near the axis its sign depends on where psi sits
     # between its poles; a negative start pins arg to +pi by convention, a
     # T-independent choice that lands in the order-one residual.
     start_arg = 0.0 if start.real > 0 else math.pi
-    up, val = _track_segment(datum, k, complex(sigma), complex(sigma, T), ctx, start)
-    across, _ = _track_segment(datum, k, complex(sigma, T), complex(0.5, T), ctx, val)
-    return (start_arg + up + across) / math.pi
+    return (start_arg + turn) / math.pi
 
 
 def count_compare(datum: SelbergDatum, k: int, T: float,
@@ -431,28 +439,15 @@ def count_compare(datum: SelbergDatum, k: int, T: float,
     return CountReport(datum.name, float(T), int(k), n_line, theta_term, s_measured, residual)
 
 
-def _rect_nodes(rect: Rectangle, edge: int, m: int) -> np.ndarray:
-    """m+1 nodes along edge 0..3, counterclockwise from (sigma_min, t_min)."""
-    corners = [
-        complex(rect.sigma_min, rect.t_min),
-        complex(rect.sigma_max, rect.t_min),
-        complex(rect.sigma_max, rect.t_max),
-        complex(rect.sigma_min, rect.t_max),
-    ]
-    a = corners[edge]
-    b = corners[(edge + 1) % 4]
-    return a + (b - a) * np.linspace(0.0, 1.0, m + 1)
-
-
 def contour_count(datum: SelbergDatum, selector: str, k: int, rect: Rectangle,
                   ctx: EvalContext | None = None) -> int:
     """Argument-principle zero count of F_k or f_k inside a rectangle.
 
     The rectangle must sit off the real axis (t_min >= 1), which keeps every
-    pole of the integrand outside: all poles of psi, f_k and F_k are real
-    apart from s = 1.  The logarithmic derivative comes from the chain
-    identity  X_k'/X_k = X_{k+1}/X_k + psi/2  shared by both selectors, so
-    no numerical differentiation enters the winding number.
+    pole of F_k and f_k outside: all of them are real apart from s = 1.  The
+    count is the winding number of one phase walk of F_k or f_k around the
+    boundary, counterclockwise from (sigma_min, t_min) (see _phase_walk), so
+    no derivative and no quadrature enter it.
     """
     ctx = ctx or DEFAULT_CONTEXT
     if selector not in ("chain", "coeff"):
@@ -466,39 +461,22 @@ def contour_count(datum: SelbergDatum, selector: str, k: int, rect: Rectangle,
     if rect.sigma_min < REAL_MIN + CAUCHY_RADIUS or rect.sigma_max > REAL_MAX - CAUCHY_RADIUS:
         raise RangeError("rectangle leaves the evaluation box")
 
-    def logderiv(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if selector == "chain":
-            fk, fk1, psi = _chain_pair(datum, nodes, k, ctx)
-        else:
-            f, _, _ = chain_grid(datum, nodes, k, ctx, extra=1)
-            fk, fk1, psi = f[k], f[k + 1], -2.0 * f[1]
-        return fk, fk1 / fk + 0.5 * psi
+    def values(s: np.ndarray) -> np.ndarray:
+        if selector == "coeff":
+            return coeff_stack_grid(datum, s, k, ctx)[k]
+        return chain_grid(datum, s, k, ctx)[1][k]
 
-    total = 0.0 + 0.0j
-    for edge in range(4):
-        m = 32
-        prev = None
-        while True:
-            nodes = _rect_nodes(rect, edge, m)
-            sel, ld = logderiv(nodes)
-            small = np.abs(sel)
-            if float(small.min()) < 1e-8 * max(float(small.max()), 1e-30):
-                raise InconclusiveContourError(
-                    f"|{selector}| nearly vanishes on edge {edge}; shift the rectangle"
-                )
-            seg = nodes[-1] - nodes[0]
-            integral = seg * (0.5 * ld[0] + ld[1:-1].sum() + 0.5 * ld[-1]) / m
-            if prev is not None and abs(integral - prev) < 0.005 * 2.0 * math.pi:
-                break
-            if m >= 8192:
-                raise InconclusiveContourError(
-                    f"edge {edge} integral failed to settle; a zero may hug the contour"
-                )
-            prev = integral
-            m *= 2
-        total += integral
-    w = total / (2.0j * math.pi)
-    n = round(w.real)
+    corners = [complex(rect.sigma_min, rect.t_min), complex(rect.sigma_max, rect.t_min),
+               complex(rect.sigma_max, rect.t_max), complex(rect.sigma_min, rect.t_max)]
+    turn, samples = _phase_walk(values, corners + corners[:1], InconclusiveContourError)
+    for edge, vals in enumerate(samples):
+        small = np.abs(vals)
+        if float(small.min()) < 1e-8 * max(float(small.max()), 1e-30):
+            raise InconclusiveContourError(
+                f"|{selector}| nearly vanishes on edge {edge}; shift the rectangle"
+            )
+    w = turn / (2.0 * math.pi)
+    n = round(w)
     if abs(w - n) >= 0.1:
         raise InconclusiveContourError(f"winding number {w} too far from an integer")
     return int(n)

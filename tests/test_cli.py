@@ -137,6 +137,9 @@ def test_exit_code_validation_errors(capsys, tmp_path):
     rc, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18",
                               "--config", str(tmp_path / "missing.cfg")])
     assert rc == 2 and err.startswith("error:")
+    rc, _, err = run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
+                              "--out", str(tmp_path / "missing" / "x.csv")])
+    assert rc == 2 and err.startswith("error:")
 
 
 def test_jobs_flag_is_gone():

@@ -1,15 +1,17 @@
 """Values and error estimates against mpmath at 30 digits, an independent
 implementation: zeta off and on the line, Hurwitz zeta s-derivatives, an
-L-function of a character on the line, and Z^(k) through mpmath.siegelz.
-Points are seeded; errors must stay within the reported est_error."""
+L-function of a character on the line, Z^(k) through mpmath.siegelz, and
+S(T) through mpmath.nzeros.  Points are seeded; errors must stay within the
+reported est_error."""
 
 import mpmath
 import numpy as np
 
 from hardyz.catalog import builtin
-from hardyz.chain import z_grid
+from hardyz.chain import chain_grid, z_grid
 from hardyz.evaluator import l_value_grid
 from hardyz.specfun import hurwitz_zeta
+from hardyz.zerolab import argument_S
 
 
 def _mp(fn, s):
@@ -46,11 +48,29 @@ def test_chi4_within_est_error_on_line():
 
 
 def test_z_derivatives_against_siegelz():
+    # within 1e-10 for k <= 3; Z^(4) misses that bound (by up to 2.1e-10)
+    # and is held to the est_error of F_4 instead, of which it uses < 0.5%
     rng = np.random.default_rng(43)
     ts = rng.uniform(5.0, 500.0, 10)
     zeta = builtin("zeta")
-    for k in range(4):
+    for k in range(5):
         vals, _ = z_grid(zeta, ts, k)
         with mpmath.workdps(30):
             ref = np.array([float(mpmath.siegelz(t, derivative=k)) for t in ts])
-        assert np.max(np.abs(vals - ref)) <= 1e-10, k
+        errs = np.abs(vals - ref)
+        if k <= 3:
+            assert np.max(errs) <= 1e-10, k
+        else:
+            ests = chain_grid(zeta, 0.5 + 1j * ts, k)[2][k]
+            assert np.all(errs <= ests), ts[np.argmax(errs / ests)]
+
+
+def test_argument_s_against_nzeros():
+    # N(T) = theta(T)/pi + 1 + S(T) for zeta, with N(T) counted by mpmath
+    # from its own zero locations and Gram points
+    rng = np.random.default_rng(45)
+    zeta = builtin("zeta")
+    for T in rng.uniform(20.0, 480.0, 6):
+        with mpmath.workdps(30):
+            want = float(mpmath.nzeros(T) - mpmath.siegeltheta(T) / mpmath.pi - 1)
+        assert abs(argument_S(zeta, 0, T) - want) <= 1e-10, T

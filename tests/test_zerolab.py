@@ -9,12 +9,12 @@ import pytest
 
 from hardyz import zerolab
 from hardyz.catalog import builtin
-from hardyz.chain import z_grid
+from hardyz.chain import chain_grid, z_grid
 from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import (InconclusiveContourError, ProximityError,
-                           RangeError)
+                           RangeError, TrackingError)
 from hardyz.gamma_factor import theta
-from hardyz.zerolab import (Rectangle, _refine_brackets, argument_S,
+from hardyz.zerolab import (Rectangle, _phase_walk, _refine_brackets, argument_S,
                             contour_count, count_compare, interlace_audit,
                             mirror_sum_check, scan_zeros)
 
@@ -200,12 +200,58 @@ def test_argument_s_against_classical_identity():
     assert abs(s_measured - want) < 1e-6
 
 
+def test_argument_s_batches_its_walk(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return chain_grid(*args, **kwargs)
+
+    monkeypatch.setattr(zerolab, "chain_grid", counted)
+    argument_S(builtin("zeta"), 0, 395.0)
+    # the tracking-line guard, the walk's first nodes and its rounds of
+    # midpoints; one 1-point call per step took 207
+    assert len(calls) <= 4
+
+
+def test_phase_walk_counts_turns():
+    square = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j]
+    turn, samples = _phase_walk(lambda s: s ** 3, square, TrackingError)
+    assert turn == pytest.approx(6.0 * math.pi, abs=1e-12)
+    assert len(samples) == 4 and samples[0][0] == (1 + 1j) ** 3
+
+
+def test_phase_walk_resolves_fast_turns():
+    # each of the 32 first steps turns by 2.2 pi, which sampled once per
+    # step reads as 0.2 pi: a walk at a single resolution aliases here
+    length = 1.7
+    w = 2.2 * math.pi * 32 / length
+
+    def phase(s):
+        return np.exp(1j * w * s.real)
+
+    coarse = phase(np.linspace(0.3, 0.3 + length, 33))
+    assert np.sum(np.angle(coarse[1:] / coarse[:-1])) == pytest.approx(6.4 * math.pi)
+    turn, _ = _phase_walk(phase, [0.3, 0.3 + length], TrackingError)
+    assert turn == pytest.approx(w * length, rel=1e-12)
+
+
+def test_phase_walk_refuses_a_zero_on_the_path():
+    # the arg turns by pi within 1e-9 of s = 0.01, well inside the 2e-7
+    # floor on step widths
+    with pytest.raises(TrackingError):
+        _phase_walk(lambda s: s - (0.01 + 1e-9j), [-1.0, 1.0], TrackingError)
+
+
 def test_contour_counts_strip_zeros():
     zeta = builtin("zeta")
     n = contour_count(zeta, "chain", 0, Rectangle(-0.5, 1.5, 10.0, 32.0))
     assert n == 4  # the four classical zeros below 32
     n2 = contour_count(zeta, "coeff", 2, Rectangle(2.0, 8.0, 5.0, 40.0))
     assert n2 == 0
+    # the lower edge passes 0.01 above the first zero, which stays outside
+    n3 = contour_count(zeta, "chain", 0, Rectangle(-0.5, 1.5, ZETA_ZEROS[0] + 0.01, 32.0))
+    assert n3 == 3
 
 
 def test_contour_matches_line_scan():
