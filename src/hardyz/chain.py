@@ -13,9 +13,11 @@ started from the constant 1, the central facts used here are
     f_k(s)    =  k! sum  (-1/2)^(a_1+...+a_k)
                  prod_l  (1/a_l!) (psi^(l-1)(s) / l!)^(a_l)
 
-with the sum over a_1 + 2 a_2 + ... + k a_k = k.  The pure power
-(-psi/2)^k is the dominant term; the remainder Lambda_k collects the
-partitions with a_1 <= k - 2.  The ratios
+with the sum over a_1 + 2 a_2 + ... + k a_k = k.  This is the complete
+Bell polynomial B_k(x_1, ..., x_k) in x_l = -psi^(l-1)/2, computed by the
+recurrence B_{n+1} = sum_i C(n, i) x_{i+1} B_{n-i} rather than over
+partitions.  The pure power (-psi/2)^k is the dominant term; the remainder
+Lambda_k collects the partitions with a_1 <= k - 2.  The ratios
 
     A_k = f_k / (-psi/2)^k         (-> 1 as |s| grows),
     g_k = F_k / f_k                (-> 1 rightwards)
@@ -37,8 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,29 +87,19 @@ def _check_k(k: int, cap: int = _MAX_CHAIN) -> None:
         raise UnsupportedOrderError(f"chain order k must be an integer in 0..{cap}, got {k!r}")
 
 
-@lru_cache(maxsize=None)
-def _partitions(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Multiplicity vectors with sum l*a_l = k, as sparse ((l, a_l), ...)."""
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(remaining: int, max_part: int, acc: tuple[tuple[int, int], ...]):
-        if remaining == 0:
-            out.append(acc)
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            for mult in range(remaining // part, 0, -1):
-                rec(remaining - part * mult, part - 1, acc + ((part, mult),))
-
-    rec(k, k, ())
-    return tuple(out)
+def _binomial_sum(b, a, n: int):
+    """sum_{i=0..n} C(n, i) b[n-i] a[i]: the Leibniz rule for (b a)^(n),
+    and with a[i] = x_{i+1} the Bell recurrence."""
+    return sum(math.comb(n, i) * b[n - i] * a[i] for i in range(n + 1))
 
 
-def _partition_coeff(k: int, part: tuple[tuple[int, int], ...]) -> float:
-    total_mult = sum(a for _, a in part)
-    c = Fraction(math.factorial(k)) * Fraction(-1, 2) ** total_mult
-    for l, a in part:
-        c /= Fraction(math.factorial(a) * math.factorial(l) ** a)
-    return float(c)
+def _bell_stack(x: np.ndarray, k: int) -> np.ndarray:
+    """B_0 .. B_k in x_l = x[l-1] by B_{n+1} = sum_i C(n, i) B_{n-i} x_{i+1}."""
+    out = np.empty((k + 1,) + x.shape[1:], dtype=np.complex128)
+    out[0] = 1.0
+    for n in range(k):
+        out[n + 1] = _binomial_sum(out, x, n)
+    return out
 
 
 def coeff_stack_grid(datum: SelbergDatum, s_arr, k: int,
@@ -118,18 +108,7 @@ def coeff_stack_grid(datum: SelbergDatum, s_arr, k: int,
     _check_k(k)
     ctx = ctx or DEFAULT_CONTEXT
     arr = np.asarray(s_arr, dtype=np.complex128)
-    psis = fe_logderiv_grid(datum, arr, max(k - 1, 0), ctx)
-    out = np.zeros((k + 1,) + arr.shape, dtype=np.complex128)
-    out[0] = 1.0
-    for j in range(1, k + 1):
-        acc = np.zeros_like(arr)
-        for part in _partitions(j):
-            term = np.full(arr.shape, _partition_coeff(j, part), dtype=np.complex128)
-            for l, a in part:
-                term = term * psis[l - 1] ** a
-            acc += term
-        out[j] = acc
-    return out
+    return _bell_stack(-0.5 * fe_logderiv_grid(datum, arr, max(k - 1, 0), ctx), k)
 
 
 def chain_coeff(datum: SelbergDatum, s: complex, k: int,
@@ -143,25 +122,18 @@ def chain_coeff_tail(datum: SelbergDatum, s: complex, k: int,
                      ctx: EvalContext | None = None) -> complex:
     """Lambda_k(s) = f_k(s) - (-psi(s)/2)^k, summed directly.
 
-    Only partitions with a_1 <= k - 2 contribute, so the dominant power is
-    never formed and then cancelled.
+    With x_l = -psi^(l-1)/2, Lambda_1 = 0 and the Bell recurrence gives
+    Lambda_{n+1} = x_1 Lambda_n + sum_{i >= 1} C(n, i) x_{i+1} f_{n-i}, so
+    the dominant power x_1^k is never formed and then cancelled.
     """
     _check_k(k)
     ctx = ctx or DEFAULT_CONTEXT
-    if k == 0:
-        return 0.0 + 0.0j
-    arr = np.array([complex(s)])
-    psis = fe_logderiv_grid(datum, arr, max(k - 1, 0), ctx)
-    acc = 0.0 + 0.0j
-    for part in _partitions(k):
-        a1 = dict(part).get(1, 0)
-        if a1 > k - 2:
-            continue
-        term = _partition_coeff(k, part) + 0.0j
-        for l, a in part:
-            term *= complex(psis[l - 1, 0]) ** a
-        acc += term
-    return acc
+    x = -0.5 * fe_logderiv_grid(datum, np.array([complex(s)]), max(k - 1, 0), ctx)
+    f = _bell_stack(x, k)
+    tail = np.zeros(1, dtype=np.complex128)
+    for n in range(1, k):
+        tail = _binomial_sum(list(f[:n]) + [tail], x, n)
+    return complex(tail[0])
 
 
 def chain_grid(datum: SelbergDatum, s_arr, k: int, ctx: EvalContext | None = None,
@@ -176,13 +148,9 @@ def chain_grid(datum: SelbergDatum, s_arr, k: int, ctx: EvalContext | None = Non
     top = k + extra
     f = coeff_stack_grid(datum, arr, top, ctx)
     dv, de = l_derivs_grid(datum, arr, top, ctx)
-    big_f = np.zeros_like(f)
-    est = np.zeros((top + 1,) + arr.shape, dtype=np.float64)
-    for j in range(top + 1):
-        for i in range(j + 1):
-            c = math.comb(j, i)
-            big_f[j] += c * f[j - i] * dv[i]
-            est[j] += c * np.abs(f[j - i]) * de[i]
+    big_f = np.array([_binomial_sum(f, dv, j) for j in range(top + 1)])
+    abs_f = np.abs(f)
+    est = np.array([_binomial_sum(abs_f, de, j) for j in range(top + 1)])
     return f, big_f, est
 
 

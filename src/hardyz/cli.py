@@ -220,7 +220,10 @@ def _run(args: argparse.Namespace) -> None:
         n_steps = int(round(span)) if math.isfinite(span) else 0
         if n_steps < 1:
             raise ContextError("sample needs a positive --step and at least two grid points")
-        ts = args.t0 + args.step * np.arange(n_steps + 1)
+        try:
+            ts = args.t0 + args.step * np.arange(n_steps + 1)
+        except (MemoryError, ValueError):
+            raise ContextError(f"sample grid of {n_steps + 1:.3g} points cannot be allocated") from None
         vals, _ = z_grid(datum, ts, args.k, ctx)
         if args.format == "csv":
             lines = ["t,z"] + [f"{fmt15(t)},{fmt15(v)}" for t, v in zip(ts, vals)]

@@ -220,39 +220,27 @@ def _em_finish(s: np.ndarray, main: np.ndarray, big: np.ndarray, j: int, k_bern:
     lb = np.log(big)
     decay = np.exp(-s * lb)  # big^(-s)
 
-    # d^j/ds^j of big^(1-s) / (s-1), Leibniz over the two factors
+    # d^j/ds^j of big^(1-s) / (s-1), Leibniz over the two factors.  With
+    # sub_pole the pole part d^j/ds^j (s-1)^(-1) is subtracted, which leaves
+    # (big^(1-s) - 1)/(s-1), entire in s; near its removed singularity the
+    # difference cancels, so there the Taylor series in (1-s) replaces it
+    # and the direct form runs on a stand-in s - 1 = 1.
     sm1 = s - 1.0
-    if not sub_pole:
-        tail = np.zeros_like(s)
-        for i in range(j + 1):
-            da = (-lb) ** i * big * decay
-            db = (-1.0) ** (j - i) * math.factorial(j - i) * sm1 ** (-(j - i) - 1)
-            tail += math.comb(j, i) * da * db
-    else:
-        # d^j/ds^j of (big^(1-s) - 1)/(s-1), entire in s.  Near the removed
-        # singularity use the Taylor series in (1-s); elsewhere the direct
-        # form minus the pole part is already stable.
-        x = -sm1 * lb
-        near = np.abs(x) <= 4.0
-        tail = np.empty_like(s)
-        if np.any(~near):
-            sf, lf, bf, df = s[~near], lb[~near], big[~near], decay[~near]
-            smf = sf - 1.0
-            tf = np.zeros_like(sf)
-            for i in range(j + 1):
-                da = (-lf) ** i * bf * df
-                db = (-1.0) ** (j - i) * math.factorial(j - i) * smf ** (-(j - i) - 1)
-                tf += math.comb(j, i) * da * db
-            tf -= (-1.0) ** j * math.factorial(j) * smf ** (-j - 1)
-            tail[~near] = tf
-        if np.any(near):
-            u = 1.0 - s[near]  # (1-s), |u * lb| <= 4
-            ln = lb[near]
-            acc = np.zeros_like(u)
-            for r in range(40, j - 1, -1):
-                c = (math.factorial(r) / (math.factorial(r - j) * math.factorial(r + 1))) * ln ** (r + 1)
-                acc = acc * u + c
-            tail[near] = -((-1.0) ** j) * acc
+    near = np.abs(-sm1 * lb) <= 4.0 if sub_pole else np.zeros(s.shape, dtype=bool)
+    sm1 = np.where(near, 1.0, sm1)
+    tail = sum(math.comb(j, i) * ((-lb) ** i * big * decay)
+               * ((-1.0) ** (j - i) * math.factorial(j - i) * sm1 ** (-(j - i) - 1))
+               for i in range(j + 1))
+    if sub_pole:
+        tail -= (-1.0) ** j * math.factorial(j) * sm1 ** (-j - 1)
+    if np.any(near):
+        u = 1.0 - s[near]  # (1-s), |u * lb| <= 4
+        ln = lb[near]
+        acc = np.zeros_like(u)
+        for r in range(40, j - 1, -1):
+            c = (math.factorial(r) / (math.factorial(r - j) * math.factorial(r + 1))) * ln ** (r + 1)
+            acc = acc * u + c
+        tail[near] = -((-1.0) ** j) * acc
 
     half = 0.5 * (-lb) ** j * decay
 

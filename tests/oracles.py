@@ -223,8 +223,8 @@ def recursion_coeffs(psi_derivs: list[complex], k_max: int) -> list[complex]:
     f_{k+1} = f_k' - (1/2) psi f_k in truncated Taylor arithmetic.
 
     `psi_derivs[j]` is the j-th derivative of psi at the expansion point.
-    No partition combinatorics appears here, so agreement with the
-    partition-formula route is a genuine two-route check."""
+    No Bell-polynomial or partition combinatorics appears here, so
+    agreement with chain_coeff is a genuine two-route check."""
     order = k_max + 1
     psi_jet = [psi_derivs[j] / math.factorial(j) for j in range(order)]
     jets = [[1.0 + 0.0j] + [0.0j] * (order - 1)]

@@ -91,8 +91,9 @@ def test_c02_z_realness_and_chain_consistency():
 
 
 def test_c03_partition_vs_recursion_coefficients():
-    # the closed partition formula and the Taylor-jet recursion agree to
-    # 1e-8 relative for k <= 5 at 10 seeded points
+    # the partition formula, computed by the Bell recurrence, and the
+    # Taylor-jet recursion agree to 1e-8 relative for k <= 5 at 10 seeded
+    # points
     start = time.monotonic()
     rng = np.random.default_rng(0)
     pts = rng.uniform(0.2, 3.0, 10) + 1j * rng.uniform(5.0, 40.0, 10)
@@ -103,13 +104,13 @@ def test_c03_partition_vs_recursion_coefficients():
                       for v in fe_logderiv_grid(datum, np.array([s]), 5)[:, 0]]
         via_recursion = recursion_coeffs(psi_derivs, 5)
         for k in range(6):
-            via_partition = chain_coeff(datum, complex(s), k)
-            rel = abs(via_partition - via_recursion[k]) / (1.0 + abs(via_partition))
+            via_bell = chain_coeff(datum, complex(s), k)
+            rel = abs(via_bell - via_recursion[k]) / (1.0 + abs(via_bell))
             worst = max(worst, rel)
     elapsed = time.monotonic() - start
     assert worst < 1e-8
     assert elapsed < 30.0
-    print(f"criterion 03 partition/recursion: PASS "
+    print(f"criterion 03 Bell/recursion: PASS "
           f"(max mismatch {worst:.2e}, {elapsed:.1f}s)")
 
 

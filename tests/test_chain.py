@@ -62,18 +62,19 @@ def test_coeff_tail_closed_forms():
 
 
 def test_coeff_partition_vs_recursion_routes():
-    # partition formula against truncated Taylor recursion, k <= 6
+    # Bell-recurrence coefficients against truncated Taylor recursion, up to
+    # the chain cap k = 8
     for name in ("zeta", "chi4"):
         datum = builtin(name)
         for s in POINTS[:2]:
             psi_derivs = [
-                complex(v) for v in fe_logderiv_grid(datum, np.array([s]), 6)[:, 0]
+                complex(v) for v in fe_logderiv_grid(datum, np.array([s]), 8)[:, 0]
             ]
-            via_recursion = recursion_coeffs(psi_derivs, 6)
-            for k in range(7):
-                via_partition = chain_coeff(datum, s, k)
-                assert abs(via_partition - via_recursion[k]) \
-                    < 1e-10 * (1.0 + abs(via_partition)), (name, k)
+            via_recursion = recursion_coeffs(psi_derivs, 8)
+            for k in range(9):
+                via_bell = chain_coeff(datum, s, k)
+                assert abs(via_bell - via_recursion[k]) \
+                    < 1e-10 * (1.0 + abs(via_bell)), (name, k)
 
 
 def test_chain_recursion_vs_finite_difference():

@@ -133,6 +133,12 @@ def test_exit_code_validation_errors(capsys, tmp_path):
     for step in ("0", "nan"):
         assert run(capsys, ["sample", "--datum", "zeta", "--t0", "14", "--t1", "15",
                             "--step", step])[0] == 2
+    # grids numpy refuses at once: 4.9e14 points (MemoryError) and 4.9e302
+    # (ValueError)
+    for step in ("1e-12", "1e-300"):
+        rc, _, err = run(capsys, ["sample", "--datum", "zeta", "--t0", "10", "--t1", "500",
+                                  "--step", step])
+        assert rc == 2 and err.startswith("error:"), step
     assert run(capsys, ["contour", "--datum", "zeta", "--rect=a,b,c,d"])[0] == 2
     rc, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18",
                               "--config", str(tmp_path / "missing.cfg")])

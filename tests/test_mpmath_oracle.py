@@ -2,13 +2,16 @@
 implementation: zeta off and on the line, Hurwitz zeta s-derivatives, an
 L-function of a character on the line, Z^(k) through mpmath.siegelz, and
 S(T) through mpmath.nzeros.  Points are seeded; errors must stay within the
-reported est_error."""
+reported est_error.  The chain coefficient tails are checked against their
+partition sums over mpmath polygamma."""
+
+import math
 
 import mpmath
 import numpy as np
 
 from hardyz.catalog import builtin
-from hardyz.chain import chain_grid, z_grid
+from hardyz.chain import chain_coeff_tail, chain_grid, z_grid
 from hardyz.evaluator import l_value_grid
 from hardyz.specfun import hurwitz_zeta
 from hardyz.zerolab import argument_S
@@ -74,3 +77,49 @@ def test_argument_s_against_nzeros():
         with mpmath.workdps(30):
             want = float(mpmath.nzeros(T) - mpmath.siegeltheta(T) / mpmath.pi - 1)
         assert abs(argument_S(zeta, 0, T) - want) <= 1e-10, T
+
+
+def _partitions(k, top=None):
+    """Multiplicity maps {l: a_l} with sum l * a_l = k, parts at most top."""
+    top = k if top is None else top
+    if k == 0:
+        yield {}
+        return
+    for l in range(min(k, top), 0, -1):
+        for a in range(k // l, 0, -1):
+            for rest in _partitions(k - l * a, l - 1):
+                yield {l: a, **rest}
+
+
+def _mp_psi_derivs(datum, s, n):
+    """psi^(0..n-1)(s) for psi = H'/H, differentiated under the gamma sum."""
+    z = mpmath.mpc(s.real, s.imag)
+    out = []
+    for m in range(n):
+        acc = -2 * mpmath.log(datum.q_factor) if m == 0 else mpmath.mpc(0)
+        for lam, mu in zip(datum.lambdas, datum.mus):
+            acc -= mpmath.mpf(lam) ** (m + 1) * ((-1) ** m * mpmath.polygamma(m, lam * (1 - z) + mu)
+                                                 + mpmath.polygamma(m, lam * z + mu))
+        out.append(acc)
+    return out
+
+
+def test_coeff_tail_against_partition_sum():
+    # Lambda_k = f_k - x_1^k with x_l = -psi^(l-1)/2 is the partition sum
+    # k! prod_l (x_l / l!)^(a_l) / a_l! without the pure power a_1 = k.
+    # Worst error ~2e-15 relative; forming f_k and subtracting x_1^k cancels
+    # and misses the bound (4.3e-13 at worst).
+    pts = [0.5 + 400j, 0.5 + 100j, 300 + 590j, 6 + 20j, -3.5 + 300j, 2 + 9j]
+    for name in ("zeta", "chi4"):
+        datum = builtin(name)
+        for s in pts:
+            with mpmath.workdps(30):
+                x = [-p / 2 for p in _mp_psi_derivs(datum, s, 8)]
+                for k in range(2, 9):
+                    ref = complex(sum(
+                        math.factorial(k) * mpmath.fprod(
+                            (x[l - 1] / math.factorial(l)) ** a / math.factorial(a)
+                            for l, a in part.items())
+                        for part in _partitions(k) if part.get(1, 0) < k))
+                    got = chain_coeff_tail(datum, s, k)
+                    assert abs(got - ref) <= 1e-13 * abs(ref), (name, s, k)
