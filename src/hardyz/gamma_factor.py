@@ -168,6 +168,8 @@ def theta_asymptotic(datum: SelbergDatum, t: float) -> float:
     theta(t)/pi = (d/2pi) t log(t/2pi) + c1 t + c0 + O(1/t) with closed-form
     c1, c0 read off the Stirling expansion of each gamma factor.
     """
+    if not math.isfinite(t):
+        raise DomainError("t must be finite")
     if t < 10.0:
         raise RangeError("asymptotic counting term requires t >= 10")
     d = datum.degree

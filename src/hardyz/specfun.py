@@ -33,6 +33,9 @@ _SHIFT_REAL = 12.0
 _MAX_POLYGAMMA = 16
 _MAX_HURWITZ_DERIV = 4
 _MAX_BERNOULLI_PAIRS = 15  # table covers B_2 .. B_30
+# unit steps allowed in the upward recurrence; the package's own gamma
+# arguments (Re >= -343.5 for Re s <= 350, target <= 28) need at most ~372
+_MAX_SHIFT_STEPS = 1000
 
 # elements per chunk when evaluating (points x series terms) products
 _CHUNK_BUDGET = 4_000_000
@@ -62,37 +65,10 @@ _LG_COEF = np.array(
 )
 
 
-def _pochhammer_tables() -> list[list[np.ndarray]]:
-    """Coefficients of (s)_{2i-1} = s(s+1)...(s+2i-2) and its s-derivatives.
-
-    Entry [i][m] is the ascending coefficient array of the m-th derivative,
-    i = 1.._MAX_BERNOULLI_PAIRS, m = 0.._MAX_HURWITZ_DERIV.  Exact integer
-    arithmetic until the final float conversion.
-    """
-    out: list[list[np.ndarray]] = [[]]
-    for i in range(1, _MAX_BERNOULLI_PAIRS + 1):
-        coeffs = [1]
-        for r in range(2 * i - 1):
-            # multiply polynomial by (s + r)
-            nxt = [0] * (len(coeffs) + 1)
-            for p, c in enumerate(coeffs):
-                nxt[p] += c * r
-                nxt[p + 1] += c
-            coeffs = nxt
-        derivs = []
-        cur = coeffs
-        for _m in range(_MAX_HURWITZ_DERIV + 1):
-            derivs.append(np.array([float(c) for c in cur]))
-            cur = [p * c for p, c in enumerate(cur)][1:] or [0]
-        out.append(derivs)
-    return out
-
-
-_POCH = _pochhammer_tables()
-
-
 def _as_complex(z) -> tuple[np.ndarray, bool]:
     arr = np.asarray(z, dtype=np.complex128)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("argument must be finite")
     return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
 
 
@@ -106,6 +82,28 @@ def _check_gamma_poles(w: np.ndarray) -> None:
         raise PoleError(f"gamma pole at z = {z0}")
 
 
+def _shift_up(arr: np.ndarray, target: float, step) -> tuple[np.ndarray, np.ndarray]:
+    """Unit steps w -> w + 1 from arr until Re w >= target.
+
+    Returns the shifted w and acc = -sum of step(w) over the points each
+    entry passed through.  A start more than _MAX_SHIFT_STEPS below the
+    target is refused rather than walked.
+    """
+    _check_gamma_poles(arr)
+    if np.any(target - arr.real > _MAX_SHIFT_STEPS):
+        x0 = float(arr.real.min())
+        raise DomainError(f"Re z = {x0} lies more than {_MAX_SHIFT_STEPS} unit steps below "
+                          f"the recurrence target {target}")
+    w = arr.astype(np.complex128, copy=True)
+    acc = np.zeros_like(w)
+    while True:
+        mask = w.real < target
+        if not mask.any():
+            return w, acc
+        acc[mask] -= step(w[mask])
+        w[mask] += 1.0
+
+
 def log_gamma(z, ctx: EvalContext | None = None):
     """Principal-branch log Gamma, analytic on C minus the cut (-inf, 0].
 
@@ -116,15 +114,7 @@ def log_gamma(z, ctx: EvalContext | None = None):
     """
     del ctx  # accuracy policy is fixed by the table length
     arr, scalar = _as_complex(z)
-    _check_gamma_poles(arr)
-    w = arr.astype(np.complex128, copy=True)
-    acc = np.zeros_like(w)
-    while True:
-        mask = w.real < _SHIFT_REAL
-        if not mask.any():
-            break
-        acc[mask] -= np.log(w[mask])
-        w[mask] += 1.0
+    w, acc = _shift_up(arr, _SHIFT_REAL, np.log)
     iw2 = 1.0 / (w * w)
     ser = np.zeros_like(w)
     for c in _LG_COEF[::-1]:
@@ -146,17 +136,8 @@ def polygamma(m: int, z, ctx: EvalContext | None = None):
     if m > _MAX_POLYGAMMA:
         raise UnsupportedOrderError(f"polygamma order {m} exceeds supported maximum {_MAX_POLYGAMMA}")
     arr, scalar = _as_complex(z)
-    _check_gamma_poles(arr)
-    w = arr.astype(np.complex128, copy=True)
-    acc = np.zeros_like(w)
-    target = _SHIFT_REAL + m
     sign_fact = (-1.0) ** m * math.factorial(m)
-    while True:
-        mask = w.real < target
-        if not mask.any():
-            break
-        acc[mask] -= sign_fact * w[mask] ** (-(m + 1))
-        w[mask] += 1.0
+    w, acc = _shift_up(arr, _SHIFT_REAL + m, lambda v: sign_fact * v ** (-(m + 1)))
     iw = 1.0 / w
     iw2 = iw * iw
     if m == 0:
@@ -180,10 +161,15 @@ def series_terms(im, ctx: EvalContext, floor: int = 0) -> np.ndarray:
     """Direct-sum length of each point: ctx.em_terms(|Im s|), at least floor,
     rounded up to base + a multiple of _TIER with base = max(em_cutoff,
     floor).  Each length follows its own point only, so a value never
-    depends on the batch it is computed in."""
+    depends on the batch it is computed in.  A length above _CHUNK_BUDGET is
+    refused before anything is allocated."""
     base = max(ctx.em_cutoff, floor)
     excess = np.maximum(np.ceil(ctx.em_scale * np.abs(im)) - base, 0.0)
-    return base + _TIER * np.ceil(excess / _TIER).astype(np.int64)
+    lengths = base + _TIER * np.ceil(excess / _TIER)
+    if np.any(lengths > _CHUNK_BUDGET):
+        raise DomainError(f"a direct sum of {lengths.max():.0f} terms exceeds the "
+                          f"{_CHUNK_BUDGET}-term limit (|Im s| = {np.abs(im).max()})")
+    return lengths.astype(np.int64)
 
 
 def tier_chunks(lengths: np.ndarray):
@@ -244,17 +230,26 @@ def _em_finish(s: np.ndarray, main: np.ndarray, big: np.ndarray, j: int, k_bern:
 
     half = 0.5 * (-lb) ** j * decay
 
+    # Bernoulli corrections B_2i/(2i)! d^j/ds^j [(s)_{2i-1} big^(1-s-2i)],
+    # Leibniz against (-lb)^(j-m).  The stack holds the s-derivatives
+    # P^(m), m = 0..j, of the rising factorial P = (s)_{2i-1} =
+    # s (s+1) ... (s+2i-2): it starts from (s)_1 = s, whose stack is
+    # (s, 1, 0, ...), and each further term multiplies P by (s+2i-3)(s+2i-2)
+    # through (P (s+c))^(m) = (s+c) P^(m) + m P^(m-1).
+    stack = np.zeros((j + 1,) + s.shape, dtype=np.complex128)
+    stack[0] = s
+    stack[1:2] = 1.0
+    orders = np.arange(1, j + 1)[:, None]
+    weights = np.array([math.comb(j, m) * (-lb) ** (j - m) for m in range(j + 1)])
     bern = np.zeros_like(s)
-    last = np.zeros_like(s)
     for i in range(1, k_bern + 1):
-        poly = np.zeros_like(s)
-        for mdx in range(j + 1):
-            pv = np.polynomial.polynomial.polyval(s, _POCH[i][mdx])
-            poly += math.comb(j, mdx) * pv * (-lb) ** (j - mdx)
-        term = (_B_EVEN[i] / math.factorial(2 * i)) * poly * decay * big ** (1 - 2 * i)
-        bern += term
-        if i == k_bern:
-            last = term
+        if i > 1:
+            for c in (2 * i - 3, 2 * i - 2):
+                stack[1:] = (s + c) * stack[1:] + orders * stack[:-1]
+                stack[0] *= s + c
+        last = (_B_EVEN[i] / math.factorial(2 * i)) * (weights * stack).sum(axis=0) \
+            * decay * big ** (1 - 2 * i)
+        bern += last
     return main + tail + half + bern, last
 
 

@@ -493,6 +493,8 @@ def mirror_sum_check(datum: SelbergDatum, k: int, t: float, window: float,
     ctx = ctx or DEFAULT_CONTEXT
     if not (0 <= k <= SCAN_K_MAX):
         raise RangeError(f"mirror check supports k <= {SCAN_K_MAX}")
+    if not math.isfinite(c_budget):
+        raise RangeError(f"c_budget must be finite, got {c_budget}")
     if window < 5.0:
         raise RangeError("window must be at least 5")
     if t - window < SCAN_T_MIN or t + window > SCAN_T_MAX:

@@ -126,6 +126,11 @@ def test_exit_code_validation_errors(capsys, tmp_path):
         assert run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "nan"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--s", "nan,20"])[0] == 2
+    # psi at s = 1e20 + i would need ~5e19 recurrence steps; refused at once
+    assert run(capsys, ["eval", "--datum", "zeta", "--k", "0", "--s", "1e20,1"])[0] == 2
+    for budget in ("nan", "inf"):
+        assert run(capsys, ["mirror", "--datum", "zeta", "--t", "100", "--window", "10",
+                            "--budget", budget])[0] == 2
     # malformed values are reported, not raised as tracebacks
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
                         "--set", "em_cutoff=abc"])[0] == 2

@@ -1,5 +1,6 @@
-"""Values and error estimates against mpmath at 30 digits, an independent
-implementation: zeta off and on the line, Hurwitz zeta s-derivatives, an
+"""Values and error estimates against mpmath, an independent implementation,
+at 30 digits (60 for the Hurwitz s-derivatives): zeta off and on the line,
+Hurwitz zeta s-derivatives (pole-subtracted next to s = 1 as well), an
 L-function of a character on the line, Z^(k) through mpmath.siegelz, and
 S(T) through mpmath.nzeros.  Points are seeded; errors must stay within the
 reported est_error.  The chain coefficient tails are checked against their
@@ -31,14 +32,25 @@ def test_zeta_within_est_error_on_strip():
 
 
 def test_hurwitz_derivatives_within_est_error():
+    # strip points, and pole-subtracted values next to s = 1 against
+    # mpmath minus the pole part d^j/ds^j 1/(s-1) at 60 digits
     rng = np.random.default_rng(44)
-    ss = rng.uniform(-2.0, 3.0, 6) + 1j * rng.uniform(1.0, 500.0, 6)
-    for a in (1.0, 0.25):
-        for j in (1, 4):
-            vals, ests = hurwitz_zeta(ss, a, j, with_error=True)
-            errs = np.array([abs(_mp(lambda s: mpmath.zeta(s, a, j), s) - v)
-                             for s, v in zip(ss, vals)])
-            assert np.all(errs <= ests), (a, j, ss[np.argmax(errs / ests)])
+    strip = rng.uniform(-2.0, 3.0, 4) + 1j * rng.uniform(1.0, 500.0, 4)
+    near_pole = np.array([1.0 + 1e-7, 0.6 + 0.3j, 1.9 - 0.4j])
+    for a in (1.0, 0.25, 0.75):
+        for j in range(5):
+            for ss, sub_pole in ((strip, False), (near_pole, True)):
+                vals, ests = hurwitz_zeta(ss, a, j, with_error=True, sub_pole=sub_pole)
+                with mpmath.workdps(60):
+                    refs = []
+                    for s in ss:
+                        x = mpmath.mpc(s.real, s.imag)
+                        ref = mpmath.zeta(x, a, j)
+                        if sub_pole:
+                            ref -= (-1) ** j * mpmath.factorial(j) * (x - 1) ** (-j - 1)
+                        refs.append(complex(ref))
+                errs = np.abs(np.array(refs) - vals)
+                assert np.all(errs <= ests), (a, j, sub_pole, ss[np.argmax(errs / ests)])
 
 
 def test_chi4_within_est_error_on_line():

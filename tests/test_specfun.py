@@ -58,6 +58,34 @@ def test_log_gamma_pole_raises():
             log_gamma(np.array([complex(bad, 0.0)]))
 
 
+def test_log_gamma_recurrence_step_cap():
+    # up to 1000 unit steps below the shift target are walked; a start
+    # further left (or at -inf) is refused instead of walked for ever
+    z = complex(-987.5, 0.5)
+    ref = sps.loggamma(z)
+    assert abs(log_gamma(z) - ref) < 5e-14 * abs(ref)
+    assert abs(polygamma(0, z) - sps.digamma(z)) < 5e-14 * abs(sps.digamma(z))
+    for bad in (complex(-988.5, 0.5), complex(-1e5, 1.0), complex(-1e20, 1.0)):
+        with pytest.raises(DomainError):
+            log_gamma(bad)
+        with pytest.raises(DomainError):
+            polygamma(0, bad)
+    with pytest.raises(DomainError):
+        polygamma(16, complex(-972.5, 0.5))  # target 28 for m = 16
+
+
+def test_non_finite_arguments_refused():
+    for bad in (complex(math.nan, 1.0), complex(math.inf, 1.0), complex(-math.inf, 1.0),
+                complex(0.5, math.inf), complex(0.5, math.nan)):
+        with pytest.raises(DomainError):
+            log_gamma(bad)
+        with pytest.raises(DomainError):
+            polygamma(2, np.array([complex(2.0, 1.0), bad]))
+        for sub_pole in (False, True):
+            with pytest.raises(DomainError):
+                hurwitz_zeta(bad, sub_pole=sub_pole)
+
+
 def test_polygamma_matches_scipy_real():
     x = np.linspace(0.25, 25.0, 40)
     for m in range(0, 7):
@@ -197,6 +225,14 @@ def test_hurwitz_validation():
         hurwitz_zeta(np.array([complex(2.0, 0.0)]), deriv=5)
     with pytest.raises(PoleError):
         hurwitz_zeta(np.array([complex(1.0, 0.0)]))
+    # a direct sum longer than 4e6 terms (a row of 1e9 would take ~24 GB) is
+    # refused before anything is allocated
+    with pytest.raises(DomainError):
+        hurwitz_zeta(complex(0.5, 1e9))
+    with pytest.raises(DomainError):
+        hurwitz_zeta(np.array([complex(0.5, 10.0), complex(0.5, 4.1e6)]))
+    with pytest.raises(DomainError):
+        hurwitz_zeta(complex(0.5, 500.0), ctx=DEFAULT_CONTEXT.with_overrides(em_scale=1e4))
 
 
 def test_hurwitz_repeat_call_determinism():

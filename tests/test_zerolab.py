@@ -285,6 +285,9 @@ def test_mirror_proximity_guard():
 def test_mirror_validation():
     with pytest.raises(RangeError):
         mirror_sum_check(builtin("zeta"), 0, 100.0, 2.0)
+    for budget in (math.nan, math.inf):
+        with pytest.raises(RangeError):
+            mirror_sum_check(builtin("zeta"), 0, 100.0, 10.0, c_budget=budget)
 
 
 def test_scan_cache_returns_consistent_tables():
