@@ -39,6 +39,7 @@ class ConstantOneProvider:
     """a(n) = 1 for all n (the Riemann zeta coefficients)."""
 
     kind = "constant-one"
+    table = (1.0,)  # as a periodic table: mod 1
 
     def block(self, n_max: int) -> np.ndarray:
         return np.ones(n_max, dtype=np.float64)

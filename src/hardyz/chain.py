@@ -45,8 +45,8 @@ import numpy as np
 from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import PrecisionError, UnsupportedOrderError
-from .evaluator import l_derivs_grid, l_value_grid
-from .gamma_factor import fe_logderiv_grid, theta_grid
+from .evaluator import check_box, l_derivs_grid
+from .gamma_factor import check_psi_domain, fe_logderiv_grid, theta_grid
 from .specfun import log_gamma
 
 _MAX_CHAIN = 8
@@ -108,7 +108,11 @@ def coeff_stack_grid(datum: SelbergDatum, s_arr, k: int,
     _check_k(k)
     ctx = ctx or DEFAULT_CONTEXT
     arr = np.asarray(s_arr, dtype=np.complex128)
-    return _bell_stack(-0.5 * fe_logderiv_grid(datum, arr, max(k - 1, 0), ctx), k)
+    if k == 0:
+        # f_0 = 1 needs no psi, but the point must still lie in psi's domain
+        check_psi_domain(datum, arr, ctx)
+        return np.ones((1,) + arr.shape, dtype=np.complex128)
+    return _bell_stack(-0.5 * fe_logderiv_grid(datum, arr, k - 1, ctx), k)
 
 
 def chain_coeff(datum: SelbergDatum, s: complex, k: int,
@@ -145,6 +149,8 @@ def chain_grid(datum: SelbergDatum, s_arr, k: int, ctx: EvalContext | None = Non
     _check_k(k + extra)
     ctx = ctx or DEFAULT_CONTEXT
     arr = np.asarray(s_arr, dtype=np.complex128)
+    # the box first: psi far outside it is refused with a less useful message
+    check_box(arr)
     top = k + extra
     f = coeff_stack_grid(datum, arr, top, ctx)
     dv, de = l_derivs_grid(datum, arr, top, ctx)

@@ -2,9 +2,11 @@
 
 Backends by coefficient provider:
 
-* constant-one: F(s) = zeta(s), straight Euler-Maclaurin.
-* periodic mod q: F(s) = q^(-s) sum_a table[a] zeta(s, a/q), which continues
-  the Dirichlet L-series to the whole box.
+* constant-one and periodic mod q share one backend, zeta being q = 1 with
+  table (1,): the direct sum  sum_{m <= qN} table[m mod q] m^(-s)  from one
+  integer-power table per chunk of points (specfun.power_tables), plus per
+  residue class a the Euler-Maclaurin remainder of zeta(s, a/q) at N + a/q,
+  scaled by q^(-s).  This continues the Dirichlet series to the whole box.
 * cusp-form: truncated Dirichlet series where it converges; for Re s < 1/2
   the reflection F(s) = H(s) F(1-s) is used.  The error estimate stays
   honest about the slow convergence near the critical line, which is why
@@ -31,7 +33,7 @@ import numpy as np
 from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import DomainError, GeometryError, PoleError, UnsupportedOrderError
-from .specfun import hurwitz_zeta, series_terms, tier_chunks
+from .specfun import _em_finish, power_tables, series_terms
 
 REAL_MIN = -4.0
 REAL_MAX = 350.0
@@ -52,7 +54,7 @@ class LValue:
     est_error: float
 
 
-def _check_box(arr: np.ndarray) -> None:
+def check_box(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise DomainError("s must be finite")
     if np.any(arr.real < REAL_MIN) or np.any(arr.real > REAL_MAX) or np.any(np.abs(arr.imag) > IMAG_MAX):
@@ -66,31 +68,59 @@ def _check_pole(datum: SelbergDatum, arr: np.ndarray) -> None:
         raise PoleError(f"{datum.name} has a pole at s = 1")
 
 
-def _periodic_grid(datum: SelbergDatum, arr: np.ndarray, ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:
-    table = datum.provider.table
+def _dirichlet_grid(table: tuple[float, ...], arr: np.ndarray,
+                    ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:
+    """F(s) = sum_m table[m mod q] m^(-s), continued by Euler-Maclaurin per
+    residue class: with the direct sum over m <= q N,
+
+        F(s) = sum_a table[a] [ sum_{m = a mod q} m^(-s) + q^(-s) R(s, N + a/q) ],
+
+    a = 1..q and R the Euler-Maclaurin remainder of zeta(s, a/q) after its
+    first N terms.  Zeta is q = 1 with table (1,).  The direct sums of all
+    classes come from one integer-power table per chunk of points.
+    """
     q = len(table)
-    vals = np.zeros_like(arr)
-    errs = np.zeros(arr.shape, dtype=np.float64)
-    for a in range(1, q + 1):
-        c = table[a % q]
-        if c == 0.0:
-            continue
-        # pole-subtracted components: the 1/(s-1) parts cancel exactly in a
-        # mean-zero character sum, so dropping them keeps s = 1 regular
-        v, e = hurwitz_zeta(arr, a / q, 0, ctx, with_error=True, sub_pole=True)
-        vals += c * v
-        errs += abs(c) * e
-    scale = np.exp(-arr * math.log(q))
-    return scale * vals, np.abs(scale) * errs
+    residues = [a for a in range(1, q + 1) if table[a % q] != 0.0]
+    # the factors of an m prime to q are prime to q, so a character's table
+    # needs no other rows
+    units_only = all(math.gcd(a, q) == 1 for a in residues)
+    flat = arr.ravel()
+    lengths = series_terms(flat.imag, ctx)
+    main = np.empty((len(residues), flat.size), dtype=np.complex128)
+    main_abs = np.empty(main.shape, dtype=np.float64)
+    for idx, classes, tab in power_tables(flat, lengths, q, units_only):
+        cols = {r: (lo, hi) for r, lo, hi in classes}
+        mag = np.abs(tab)
+        for i, a in enumerate(residues):
+            lo, hi = cols[a % q]
+            main[i, idx] = tab[:, lo:hi].sum(axis=1)
+            main_abs[i, idx] = mag[:, lo:hi].sum(axis=1)
+    # one Euler-Maclaurin pass over every (class, point) pair
+    s_rows = np.broadcast_to(flat, main.shape).ravel()
+    big = (lengths + np.array([a / q for a in residues])[:, None]).ravel()
+    scale = None if q == 1 else np.exp(-s_rows * math.log(q))
+    # pole-subtracted remainders: the 1/(s-1) parts cancel exactly in a
+    # mean-zero table, so dropping them keeps s = 1 regular
+    value, last = _em_finish(s_rows, main.ravel(), big, 0, ctx.em_bernoulli,
+                             sum(table) == 0.0, scale)
+    # per class as in hurwitz_zeta: four times the last Bernoulli term, the
+    # rounding allowance of the direct sum, and a relative floor
+    est = (4.0 * np.abs(last)
+           + (5e-15 + 2e-16 * np.abs(s_rows.imag)) * main_abs.ravel()
+           + 1e-15 * np.abs(value))
+    vals = np.zeros_like(flat)
+    errs = np.zeros(flat.shape, dtype=np.float64)
+    for a, v, e in zip(residues, value.reshape(main.shape), est.reshape(main.shape)):
+        vals += table[a % q] * v
+        errs += abs(table[a % q]) * e
+    return vals.reshape(arr.shape), errs.reshape(arr.shape)
 
 
 def _cusp_series_grid(datum: SelbergDatum, arr: np.ndarray, ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:
     lengths = series_terms(arr.imag, ctx, floor=16 * ctx.em_cutoff)
     vals = np.empty_like(arr)
-    for idx, n in tier_chunks(lengths):
-        logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-        ex = np.exp(np.multiply.outer(-arr[idx], logs))
-        vals[idx] = (ex * datum.coefficient_block(n)).sum(axis=1)
+    for idx, _, tab in power_tables(arr, lengths):
+        vals[idx] = (tab * datum.coefficient_block(tab.shape[1])).sum(axis=1)
     # tail estimate: |a(n)| <= d(n), and sum_{n>N} d(n) n^(-sigma) has the
     # closed form  N^(1-sigma) (log N / (sigma-1) + 1/(sigma-1)^2)  for
     # sigma > 1; below that the bound is propagated from sigma = 1.05 and is
@@ -108,13 +138,11 @@ def l_value_grid(datum: SelbergDatum, s_arr, ctx: EvalContext | None = None) -> 
     """(values, error estimates) of F over an array of points."""
     ctx = ctx or DEFAULT_CONTEXT
     arr = np.asarray(s_arr, dtype=np.complex128)
-    _check_box(arr)
+    check_box(arr)
     _check_pole(datum, arr)
     kind = datum.provider.kind
-    if kind == "constant-one":
-        return hurwitz_zeta(arr, 1.0, 0, ctx, with_error=True)
-    if kind == "periodic":
-        return _periodic_grid(datum, arr, ctx)
+    if kind in ("constant-one", "periodic"):
+        return _dirichlet_grid(datum.provider.table, arr, ctx)
     if kind == "cusp-form":
         vals = np.empty_like(arr)
         errs = np.empty(arr.shape, dtype=np.float64)

@@ -72,7 +72,11 @@ def psi_pole_distance(datum: SelbergDatum, s) -> np.ndarray:
     return best if np.ndim(s) else best[0]
 
 
-def _require_outside_exclusion(datum: SelbergDatum, s_arr: np.ndarray, ctx: EvalContext) -> None:
+def check_psi_domain(datum: SelbergDatum, s_arr: np.ndarray, ctx: EvalContext) -> None:
+    """Refuse non-finite points and points within ctx.exclusion_radius of a
+    pole of psi."""
+    if not np.all(np.isfinite(s_arr)):
+        raise DomainError("s must be finite")
     dist = psi_pole_distance(datum, s_arr)
     bad = dist < ctx.exclusion_radius
     if np.any(bad):
@@ -111,9 +115,7 @@ def fe_logderiv_grid(datum: SelbergDatum, s_arr: np.ndarray, max_order: int,
     if max_order < 0 or max_order > _MAX_PSI_ORDER:
         raise UnsupportedOrderError(f"psi derivative order must lie in 0..{_MAX_PSI_ORDER}")
     arr = np.asarray(s_arr, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("s must be finite")
-    _require_outside_exclusion(datum, arr, ctx)
+    check_psi_domain(datum, arr, ctx)
     out = np.zeros((max_order + 1,) + arr.shape, dtype=np.complex128)
     out[0] = -2.0 * math.log(datum.q_factor)
     for lam, mu in zip(datum.lambdas, datum.mus):

@@ -10,8 +10,10 @@ import pytest
 from hardyz.catalog import builtin
 from hardyz.chain import (center_prefactor, chain_coeff, chain_coeff_tail,
                           chain_derivative, chain_grid, chain_value,
-                          completed_value, z_derivative, z_grid)
-from hardyz.errors import PrecisionError, UnsupportedOrderError
+                          coeff_stack_grid, completed_value, z_derivative,
+                          z_grid)
+from hardyz.errors import (DomainError, ExcludedRegionError, PrecisionError,
+                           UnsupportedOrderError)
 from hardyz.gamma_factor import fe_logderiv, fe_logderiv_grid
 
 from oracles import (Z_AT_18, Z_AT_100_5, Z_AT_333_3, ZETA_PRIME_ZEROS,
@@ -214,3 +216,26 @@ def test_lead_and_tail_ratios_near_one_far_right():
     cv = chain_value(zeta, complex(30.0, 20.0), 2)
     assert abs(cv.lead_ratio - 1.0) < 0.05
     assert abs(cv.tail_ratio - 1.0) < 0.05
+
+
+def test_order_zero_keeps_psi_domain_checks():
+    # f_0 = 1 is returned without psi, yet a point within exclusion_radius of
+    # a pole of psi (zeta: s = 1; chi4: s = 6) is still refused, at every k
+    zeta, chi4 = builtin("zeta"), builtin("chi4")
+    assert np.array_equal(coeff_stack_grid(zeta, np.array([0.5 + 20j, 2.0 + 0j]), 0),
+                          np.ones((1, 2)))
+    for k in (0, 1, 3):
+        with pytest.raises(ExcludedRegionError):
+            coeff_stack_grid(zeta, np.array([0.5 + 20j, 1.05 + 0j]), k)
+        with pytest.raises(ExcludedRegionError):
+            chain_grid(chi4, np.array([6.05 + 0.02j]), k)
+        with pytest.raises(DomainError):
+            coeff_stack_grid(zeta, np.array([complex(math.nan, 1.0)]), k)
+
+
+def test_box_checked_before_psi():
+    # psi at s = 1e20 + i would need ~5e19 recurrence steps; the evaluation
+    # box refuses the point first, at every k
+    for k in (0, 2):
+        with pytest.raises(DomainError, match="outside the supported box"):
+            chain_grid(builtin("zeta"), np.array([1e20 + 1j]), k)

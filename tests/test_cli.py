@@ -126,8 +126,11 @@ def test_exit_code_validation_errors(capsys, tmp_path):
         assert run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "nan"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--s", "nan,20"])[0] == 2
-    # psi at s = 1e20 + i would need ~5e19 recurrence steps; refused at once
-    assert run(capsys, ["eval", "--datum", "zeta", "--k", "0", "--s", "1e20,1"])[0] == 2
+    # far outside the evaluation box: refused by the box check before psi
+    # would need ~5e19 recurrence steps
+    for k in ("0", "2"):
+        rc, _, err = run(capsys, ["eval", "--datum", "zeta", "--k", k, "--s", "1e20,1"])
+        assert rc == 2 and err.startswith("error: s outside the supported box"), err
     for budget in ("nan", "inf"):
         assert run(capsys, ["mirror", "--datum", "zeta", "--t", "100", "--window", "10",
                             "--budget", budget])[0] == 2

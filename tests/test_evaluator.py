@@ -7,11 +7,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hardyz.catalog import builtin, coefficients
+from hardyz.catalog import PeriodicProvider, SelbergDatum, builtin, coefficients
 from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import ContextError, DomainError, GeometryError, PoleError
 from hardyz.evaluator import l_derivs_grid, l_value, l_value_grid
 from hardyz.gamma_factor import fe_factor
+from hardyz.specfun import _TABLE_ELEMS, _power_plan, series_terms
 
 from oracles import CATALAN, ZETA_ZEROS, divisor_counts, fd_derivative, zeta_alternating
 
@@ -174,3 +175,40 @@ def test_grid_matches_scalar():
             one = l_value(datum, s)
             assert (one.value, one.est_error) == (complex(grid[i]), float(grid_est[i]))
             assert np.array_equal(l_derivs_grid(datum, ss[i:i + 1], 2)[0][:, 0], derivs[:, i])
+
+
+@pytest.mark.parametrize("name", ["zeta", "chi4", "chi5"])
+def test_power_table_chunks_batch_invariant(name):
+    # one series length n = 500, one point more than a table chunk holds: the
+    # batch, each single point and a mixed full batch give the same bits
+    datum = builtin(name)
+    q = len(datum.provider.table) if name != "zeta" else 1
+    n = int(series_terms(np.array([490.0]), DEFAULT_CONTEXT)[0])
+    step = _TABLE_ELEMS // _power_plan(n, q, True).order.size
+    tier = 0.3 + 1j * np.linspace(469.5, 499.5, step + 1)
+    assert set(series_terms(tier.imag, DEFAULT_CONTEXT).tolist()) == {n}
+    rng = np.random.default_rng(21)
+    others = rng.uniform(-1.0, 2.0, 40) + 1j * rng.uniform(-600.0, 600.0, 40)
+    full = np.concatenate([others, tier])
+    perm = rng.permutation(full.size)
+    vals, ests = l_value_grid(datum, full[perm])
+    inv = np.argsort(perm)
+    tv, te = l_value_grid(datum, tier)
+    assert np.array_equal(tv, vals[inv][40:]) and np.array_equal(te, ests[inv][40:])
+    for i in (0, step - 1, step):
+        one = l_value(datum, tier[i])
+        assert (one.value, one.est_error) == (complex(tv[i]), float(te[i]))
+
+
+def test_periodic_table_beyond_the_units():
+    # a table with nonzero entries at residues not prime to q takes every
+    # m <= qN; (1, 1) mod 2 is zeta again, pole and all
+    zeta = builtin("zeta")
+    twice = SelbergDatum("zeta mod 2", zeta.q_factor, zeta.lambdas, zeta.mus, zeta.omega, 1,
+                         PeriodicProvider((1.0, 1.0)))
+    rng = np.random.default_rng(22)
+    ss = np.concatenate([rng.uniform(-3.0, 3.0, 20) + 1j * rng.uniform(-500.0, 500.0, 20),
+                         [2.0, -1.0, 0.5 + 14.134725141734695j]])
+    got, got_est = l_value_grid(twice, ss)
+    ref, ref_est = l_value_grid(zeta, ss)
+    assert np.all(np.abs(got - ref) <= got_est + ref_est)

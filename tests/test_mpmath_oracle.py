@@ -1,8 +1,8 @@
 """Values and error estimates against mpmath, an independent implementation,
 at 30 digits (60 for the Hurwitz s-derivatives): zeta off and on the line,
-Hurwitz zeta s-derivatives (pole-subtracted next to s = 1 as well), an
-L-function of a character on the line, Z^(k) through mpmath.siegelz, and
-S(T) through mpmath.nzeros.  Points are seeded; errors must stay within the
+Hurwitz zeta s-derivatives (pole-subtracted next to s = 1 as well), zeta
+and the characters over the evaluation box and next to s = 1, Z^(k)
+through mpmath.siegelz, and S(T) through mpmath.nzeros.  Points are seeded; errors must stay within the
 reported est_error.  The chain coefficient tails are checked against their
 partition sums over mpmath polygamma."""
 
@@ -10,6 +10,7 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 
 from hardyz.catalog import builtin
 from hardyz.chain import chain_coeff_tail, chain_grid, z_grid
@@ -59,6 +60,37 @@ def test_chi4_within_est_error_on_line():
     vals, ests = l_value_grid(builtin("chi4"), ss)
     errs = np.array([abs(_mp(lambda s: mpmath.dirichlet(s, [0, 1, 0, -1]), s) - v)
                      for s, v in zip(ss, vals)])
+    assert np.all(errs <= ests), ss[np.argmax(errs / ests)]
+
+
+CHARACTERS = {"chi3": [0, 1, -1], "chi4": [0, 1, 0, -1], "chi5": [0, 1, -1, -1, 1]}
+
+
+@pytest.mark.parametrize("name", ["zeta", *CHARACTERS])
+def test_l_values_within_est_error_on_box(name):
+    # seeded s with sigma in [-4, 3] and |t| <= 600; for a character mod q
+    # the reference is q^(-s) sum_a chi(a) zeta(s, a/q), and next to s = 1,
+    # a regular point of every character, mpmath.dirichlet itself
+    rng = np.random.default_rng(46)
+    ss = rng.uniform(-4.0, 3.0, 10) + 1j * rng.uniform(-600.0, 600.0, 10)
+    refs = []
+    with mpmath.workdps(30):
+        for s in ss:
+            x = mpmath.mpc(s.real, s.imag)
+            if name == "zeta":
+                refs.append(complex(mpmath.zeta(x)))
+            else:
+                chi = CHARACTERS[name]
+                q = len(chi)
+                refs.append(complex(mpmath.power(q, -x) * mpmath.fsum(
+                    c * mpmath.zeta(x, mpmath.mpf(a) / q) for a, c in enumerate(chi) if c)))
+        if name != "zeta":
+            near = 1.0 + 1e-3 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 3)) * rng.uniform(0.0, 1.0, 3)
+            ss = np.concatenate([ss, near, [1.0]])
+            refs += [complex(mpmath.dirichlet(mpmath.mpc(s.real, s.imag), CHARACTERS[name]))
+                     for s in ss[10:]]
+    vals, ests = l_value_grid(builtin(name), ss)
+    errs = np.abs(np.array(refs) - vals)
     assert np.all(errs <= ests), ss[np.argmax(errs / ests)]
 
 
