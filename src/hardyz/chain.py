@@ -46,8 +46,7 @@ from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import PrecisionError, UnsupportedOrderError
 from .evaluator import check_box, l_derivs_grid
-from .gamma_factor import check_psi_domain, fe_logderiv_grid, theta_grid
-from .specfun import log_gamma
+from .gamma_factor import _log_gamma_sum, check_psi_domain, fe_logderiv_grid, theta_grid
 
 _MAX_CHAIN = 8
 # |f_k| or |psi/2| at or below this counts as vanishing, and the ratio that
@@ -202,7 +201,7 @@ def z_grid(datum: SelbergDatum, t_arr, k: int,
     tt = np.abs(t)
     s = 0.5 + 1j * tt
     _, big_f, _ = chain_grid(datum, s, k, ctx)
-    th, _ = theta_grid(datum, tt, ctx)
+    th, _ = theta_grid(datum, tt)
     w = (1j) ** k * big_f[k] * np.exp(1j * th)
     parity = np.where(t < 0, (-1.0) ** k, 1.0)
     return parity * w.real, np.abs(w.imag)
@@ -223,10 +222,8 @@ def completed_value(datum: SelbergDatum, s: complex, k: int,
     s = complex(s)
     arr = np.array([s])
     _, big_f, _ = chain_grid(datum, arr, k, ctx)
-    logs = s * math.log(datum.q_factor)
-    for lam, mu in zip(datum.lambdas, datum.mus):
-        logs += (1.0 - k) * log_gamma(lam * s + mu)
-        logs -= k * log_gamma(lam * (1.0 - s) + mu)
+    lg = _log_gamma_sum(datum, np.array([s, 1.0 - s]), range(1))[0]
+    logs = s * math.log(datum.q_factor) + (1.0 - k) * lg[0] - k * lg[1]
     if logs.real > 700.0:
         raise PrecisionError("completed value overflows double precision at this t and k")
     pref = (s * (s - 1.0)) ** datum.pole_order
@@ -237,9 +234,8 @@ def center_prefactor(datum: SelbergDatum, t: float, k: int) -> float:
     """Real prefactor g with xi_k(1/2+it) = (-i)^k e^(i arg(omega)/2) g(t) Z^(k)(t)."""
     _check_k(k)
     t = float(t)
-    mag = math.log(datum.q_factor) * 0.5
-    for lam, mu in zip(datum.lambdas, datum.mus):
-        mag += (1.0 - 2.0 * k) * float(log_gamma(lam * 0.5 + mu + 1j * lam * t).real)
+    lg = _log_gamma_sum(datum, np.array([complex(0.5, t)]), range(1))[0, 0]
+    mag = math.log(datum.q_factor) * 0.5 + (1.0 - 2.0 * k) * float(lg.real)
     if mag > 700.0:
         raise PrecisionError("prefactor overflows double precision at this t and k")
     sign = (-1.0) ** datum.pole_order

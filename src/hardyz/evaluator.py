@@ -33,6 +33,7 @@ import numpy as np
 from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import DomainError, GeometryError, PoleError, UnsupportedOrderError
+from .gamma_factor import fe_factor
 from .specfun import _em_finish, power_tables, series_terms
 
 REAL_MIN = -4.0
@@ -151,11 +152,9 @@ def l_value_grid(datum: SelbergDatum, s_arr, ctx: EvalContext | None = None) -> 
             vals[right], errs[right] = _cusp_series_grid(datum, arr[right], ctx)
         if (~right).any():
             # reflect through the functional equation
-            from .gamma_factor import fe_factor
-
             pts = arr[~right]
             mirror, merr = _cusp_series_grid(datum, 1.0 - pts, ctx)
-            hvals = np.array([fe_factor(datum, complex(p)) for p in pts])
+            hvals = fe_factor(datum, pts)
             vals[~right] = hvals * mirror
             errs[~right] = np.abs(hvals) * merr
         return vals, errs

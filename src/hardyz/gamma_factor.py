@@ -19,6 +19,10 @@ which is why an exclusion radius around those real points is enough.
 
 On the critical line H(1/2 + it) = exp(-2 i theta(t)) defines the phase
 theta used to fold F into the real function Z.
+
+The gamma factor is read in one place, _log_gamma_sum: L(s) = sum_j
+log Gamma(lambda_j s + mu_j) and its s-derivatives, from one walk of
+specfun._log_gamma_rows.  H, psi, theta and chain's xi_k are written in L.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import (DomainError, ExcludedRegionError, PoleError, RangeError,
                      UnsupportedOrderError)
-from .specfun import log_gamma, polygamma
-
-_MAX_PSI_ORDER = 15  # polygamma table supports one more than this
+from .specfun import _MAX_POLYGAMMA, _gamma_poles, _log_gamma_rows
 
 
 @dataclass(frozen=True)
@@ -46,37 +48,31 @@ class PhasePoint:
     theta_prime: float
 
 
+def _gamma_args(datum: SelbergDatum, s: np.ndarray) -> np.ndarray:
+    """lambda_j s + mu_j for every factor j, shape (J,) + s.shape."""
+    if not np.all(np.isfinite(s)):
+        raise DomainError("s must be finite")
+    return np.stack([lam * s + mu for lam, mu in zip(datum.lambdas, datum.mus)])
+
+
 def psi_pole_distance(datum: SelbergDatum, s) -> np.ndarray:
     """Distance from s to the nearest pole of psi.
 
-    Poles sit where some lambda_j s + mu_j or lambda_j (1-s) + mu_j is a
-    nonpositive integer, i.e. at the real points -(mu_j + n)/lambda_j and
-    1 + (mu_j + n)/lambda_j for integer n >= 0.
+    Poles sit where a direct argument lambda_j s + mu_j or a mirror argument
+    lambda_j (1-s) + mu_j is a nonpositive integer -n.  The nearest to an
+    argument z has n = max(rint(-Re z), 0), |z + n| / lambda_j away in s.
     """
     arr = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    best = np.full(arr.shape, np.inf)
-    x, y = arr.real, arr.imag
-    for lam, mu in zip(datum.lambdas, datum.mus):
-        # family  p = -(mu+n)/lambda, optimal n near -lambda x - mu
-        n0 = np.rint(-lam * x - mu)
-        for dn in (-1.0, 0.0, 1.0):
-            n = np.maximum(n0 + dn, 0.0)
-            p = -(mu + n) / lam
-            best = np.minimum(best, np.hypot(x - p, y))
-        # family  p = 1 + (mu+n)/lambda, optimal n near lambda (x-1) - mu
-        n0 = np.rint(lam * (x - 1.0) - mu)
-        for dn in (-1.0, 0.0, 1.0):
-            n = np.maximum(n0 + dn, 0.0)
-            p = 1.0 + (mu + n) / lam
-            best = np.minimum(best, np.hypot(x - p, y))
+    z = _gamma_args(datum, np.stack([arr, 1.0 - arr]))
+    n = np.maximum(np.rint(-z.real), 0.0)
+    lam = np.reshape(datum.lambdas, (-1,) + (1,) * (z.ndim - 1))
+    best = (np.hypot(z.real + n, z.imag) / lam).min(axis=(0, 1))
     return best if np.ndim(s) else best[0]
 
 
 def check_psi_domain(datum: SelbergDatum, s_arr: np.ndarray, ctx: EvalContext) -> None:
     """Refuse non-finite points and points within ctx.exclusion_radius of a
     pole of psi."""
-    if not np.all(np.isfinite(s_arr)):
-        raise DomainError("s must be finite")
     dist = psi_pole_distance(datum, s_arr)
     bad = dist < ctx.exclusion_radius
     if np.any(bad):
@@ -86,46 +82,51 @@ def check_psi_domain(datum: SelbergDatum, s_arr: np.ndarray, ctx: EvalContext) -
         )
 
 
-def fe_factor(datum: SelbergDatum, s: complex, ctx: EvalContext | None = None) -> complex:
-    """Reflection factor H(s).  Zero at gamma poles of the denominator side."""
-    del ctx
-    s = complex(s)
-    logsum = 0.0 + 0.0j
-    for idx, (lam, mu) in enumerate(zip(datum.lambdas, datum.mus)):
-        num = lam * (1.0 - s) + mu
-        den = lam * s + mu
-        if _is_gamma_pole(num):
-            raise PoleError(f"H pole: gamma argument {num} in factor {idx}", factor=idx,
-                            index=int(round(-num.real)))
-        if _is_gamma_pole(den):
-            return 0.0 + 0.0j
-        logsum += log_gamma(num) - log_gamma(den)
-    logsum += (1.0 - 2.0 * s) * math.log(datum.q_factor)
-    return datum.omega * complex(np.exp(logsum))
+def _log_gamma_sum(datum: SelbergDatum, s: np.ndarray, rows: range) -> np.ndarray:
+    """L^(n)(s) = sum_j lambda_j^n (d^n log Gamma)(lambda_j s + mu_j) for n
+    in rows, shape (len(rows),) + s.shape, from one walk for every factor
+    and row."""
+    terms = _log_gamma_rows(_gamma_args(datum, s), rows)
+    weights = np.array([[lam ** n for lam in datum.lambdas] for n in rows])
+    return (weights.reshape(weights.shape + (1,) * s.ndim) * terms).sum(axis=1)
 
 
-def _is_gamma_pole(z: complex) -> bool:
-    return abs(z.imag) < 1e-12 and abs(z.real - round(z.real)) < 1e-12 and round(z.real) <= 0
+def fe_factor(datum: SelbergDatum, s):
+    """Reflection factor H(s) = omega exp((1-2s) log Q + L(1-s) - L(s)) at a
+    point or over an array of points.  Zero where a gamma factor of the
+    denominator has a pole; a pole of the numerator raises PoleError naming
+    the factor and the pole's index."""
+    arr = np.asarray(s, dtype=np.complex128)
+    flat = arr.ravel()
+    num = _gamma_args(datum, 1.0 - flat)
+    if _gamma_poles(num).any():
+        p, j = np.argwhere(_gamma_poles(num).T)[0]  # the first such point, its first factor
+        z = complex(num[j, p])
+        raise PoleError(f"H pole: gamma argument {z} in factor {j}", factor=int(j),
+                        index=int(round(-z.real)))
+    live = ~_gamma_poles(_gamma_args(datum, flat)).any(axis=0)
+    x = flat[live]
+    lg = _log_gamma_sum(datum, np.stack([1.0 - x, x]), range(1))[0]
+    out = np.zeros_like(flat)
+    out[live] = datum.omega * np.exp(lg[0] - lg[1] + (1.0 - 2.0 * x) * math.log(datum.q_factor))
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def fe_logderiv_grid(datum: SelbergDatum, s_arr: np.ndarray, max_order: int,
                      ctx: EvalContext | None = None) -> np.ndarray:
-    """psi(s) and derivatives, rows 0..max_order over a batch of points."""
+    """psi(s) and derivatives, rows 0..max_order over a batch of points:
+    psi^(m)(s) = -2 log Q [m = 0] - (-1)^m L^(m+1)(1-s) - L^(m+1)(s), from
+    one walk over the mirror and direct arguments."""
     ctx = ctx or DEFAULT_CONTEXT
-    if max_order < 0 or max_order > _MAX_PSI_ORDER:
-        raise UnsupportedOrderError(f"psi derivative order must lie in 0..{_MAX_PSI_ORDER}")
+    if max_order < 0 or max_order > _MAX_POLYGAMMA:
+        raise UnsupportedOrderError(f"psi derivative order must lie in 0..{_MAX_POLYGAMMA}")
     arr = np.asarray(s_arr, dtype=np.complex128)
     check_psi_domain(datum, arr, ctx)
+    lg = _log_gamma_sum(datum, np.stack([1.0 - arr, arr]), range(1, max_order + 2))
+    sign = ((-1.0) ** np.arange(max_order + 1)).reshape((-1,) + (1,) * arr.ndim)
     out = np.zeros((max_order + 1,) + arr.shape, dtype=np.complex128)
     out[0] = -2.0 * math.log(datum.q_factor)
-    for lam, mu in zip(datum.lambdas, datum.mus):
-        mirror = lam * (1.0 - arr) + mu
-        direct = lam * arr + mu
-        for order in range(max_order + 1):
-            sign = -1.0 if order % 2 else 1.0
-            out[order] -= lam ** (order + 1) * (
-                sign * polygamma(order, mirror) + polygamma(order, direct)
-            )
+    out -= sign * lg[:, 0] + lg[:, 1]
     return out
 
 
@@ -136,32 +137,37 @@ def fe_logderiv(datum: SelbergDatum, s: complex, order: int = 0,
     return complex(grid[order, 0])
 
 
-def theta_grid(datum: SelbergDatum, t_arr: np.ndarray,
-               ctx: EvalContext | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """theta(t) and theta'(t) over a real grid, both real arrays."""
-    del ctx
+def theta_grid(datum: SelbergDatum, t_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta(t) and theta'(t) over a real grid, both real arrays:
+    theta = t log Q + Im L(1/2 + it) and theta' = log Q + Re L'(1/2 + it),
+    from one walk."""
     t = np.asarray(t_arr, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise DomainError("t must be finite")
-    theta = t * math.log(datum.q_factor)
-    theta_p = np.full(t.shape, math.log(datum.q_factor))
-    for lam, mu in zip(datum.lambdas, datum.mus):
-        z = lam * 0.5 + mu + 1j * lam * t
-        theta += log_gamma(z).imag
-        theta_p += lam * polygamma(0, z).real
+    lg = _log_gamma_sum(datum, 0.5 + 1j * t, range(2))
+    theta = t * math.log(datum.q_factor) + lg[0].imag
+    theta_p = math.log(datum.q_factor) + lg[1].real
     if datum.omega < 0:
         theta -= 0.5 * math.pi
     return theta, theta_p
 
 
-def theta(datum: SelbergDatum, t: float, ctx: EvalContext | None = None) -> PhasePoint:
+def theta(datum: SelbergDatum, t: float) -> PhasePoint:
     """Continuous phase of H on the critical line: H(1/2+it) = exp(-2i theta).
 
     theta(0) = -arg(omega)/2; for the built-in data (omega = 1) theta(0) = 0.
     theta'(t) = -psi(1/2 + it)/2, real.
     """
-    th, tp = theta_grid(datum, np.array([float(t)]), ctx)
+    th, tp = theta_grid(datum, np.array([float(t)]))
     return PhasePoint(float(t), float(th[0]), float(tp[0]))
+
+
+def theta_linear_coeff(datum: SelbergDatum) -> float:
+    """C in theta(t) = (d/2) t log(t/2pi) + C t + O(1), from Stirling:
+    C = log Q + sum_j lambda_j (log lambda_j - 1) + (d/2) log 2pi."""
+    return (math.log(datum.q_factor)
+            + sum(l * (math.log(l) - 1.0) for l in datum.lambdas)
+            + 0.5 * datum.degree * math.log(2.0 * math.pi))
 
 
 def theta_asymptotic(datum: SelbergDatum, t: float) -> float:
@@ -175,10 +181,9 @@ def theta_asymptotic(datum: SelbergDatum, t: float) -> float:
     if t < 10.0:
         raise RangeError("asymptotic counting term requires t >= 10")
     d = datum.degree
-    c1 = (math.log(datum.q_factor)
-          + sum(l * (math.log(l) - 1.0) for l in datum.lambdas)
-          + 0.5 * d * math.log(2.0 * math.pi)) / math.pi
-    c0 = 0.5 * sum(0.5 * l + m - 0.5 for l, m in zip(datum.lambdas, datum.mus))
+    c1 = theta_linear_coeff(datum) / math.pi
+    # half the sum of (gamma argument at s = 1/2) - 1/2 over the factors
+    c0 = 0.5 * float(np.sum(_gamma_args(datum, np.float64(0.5)) - 0.5))
     if datum.omega < 0:
         c0 -= 0.5  # -arg(omega)/(2 pi)
     return (0.5 * d / math.pi) * t * math.log(t / (2.0 * math.pi)) + c1 * t + c0

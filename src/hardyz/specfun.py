@@ -4,7 +4,8 @@ Everything here is built from three classical tools:
 
 * the Stirling asymptotic series with exact Bernoulli coefficients, applied
   after an upward recurrence shift into the half-plane where the series
-  converges to machine accuracy,
+  converges to machine accuracy; one walk (_log_gamma_rows) serves log
+  Gamma and every psi^(m) at once,
 * Euler-Maclaurin summation for the Hurwitz zeta function, differentiated
   term by term in s for the first few s-derivatives, and
 * a table of integer powers m^(-s) (power_tables) that takes an exp at the
@@ -32,11 +33,13 @@ from .errors import DomainError, PoleError, UnsupportedOrderError
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Recurrence shift targets.  Re(w) >= 12 makes the B_30 Stirling tail fall
-# below 1e-26 even on the imaginary axis direction, so double precision is
-# limited by rounding, not truncation.
+# Stirling target of the walk's rows 0 and 1 (row n >= 2: + n - 1).  Re(w)
+# >= 12 makes the B_30 Stirling tail fall below 1e-26 even on the imaginary
+# axis direction, so double precision is limited by rounding, not truncation.
 _SHIFT_REAL = 12.0
 
+# highest polygamma order m, the one cap on the walk's rows (row m + 1) and
+# on the order of psi_F; the tests check every row against mpmath up to it
 _MAX_POLYGAMMA = 16
 _MAX_HURWITZ_DERIV = 4
 _MAX_BERNOULLI_PAIRS = 15  # table covers B_2 .. B_30
@@ -82,88 +85,88 @@ def _as_complex(z) -> tuple[np.ndarray, bool]:
     return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
 
 
-def _check_gamma_poles(w: np.ndarray) -> None:
-    near_real = np.abs(w.imag) < 1e-12
+def _gamma_poles(w: np.ndarray) -> np.ndarray:
+    """Mask of the w within 1e-12 of a pole of Gamma (0, -1, -2, ...)."""
     r = np.rint(w.real)
-    on_int = np.abs(w.real - r) < 1e-12
-    bad = near_real & on_int & (r <= 0.0)
-    if bad.any():
-        z0 = w[bad][0]
-        raise PoleError(f"gamma pole at z = {z0}")
+    return (np.abs(w.imag) < 1e-12) & (np.abs(w.real - r) < 1e-12) & (r <= 0.0)
 
 
-def _shift_up(arr: np.ndarray, target: float, step) -> tuple[np.ndarray, np.ndarray]:
-    """Unit steps w -> w + 1 from arr until Re w >= target.
-
-    Returns the shifted w and acc = -sum of step(w) over the points each
-    entry passed through.  A start more than _MAX_SHIFT_STEPS below the
-    target is refused rather than walked.
-    """
-    _check_gamma_poles(arr)
-    if np.any(target - arr.real > _MAX_SHIFT_STEPS):
-        x0 = float(arr.real.min())
-        raise DomainError(f"Re z = {x0} lies more than {_MAX_SHIFT_STEPS} unit steps below "
-                          f"the recurrence target {target}")
-    w = arr.astype(np.complex128, copy=True)
-    acc = np.zeros_like(w)
-    while True:
-        mask = w.real < target
-        if not mask.any():
-            return w, acc
-        acc[mask] -= step(w[mask])
-        w[mask] += 1.0
-
-
-def log_gamma(z, ctx: EvalContext | None = None):
-    """Principal-branch log Gamma, analytic on C minus the cut (-inf, 0].
-
-    Shift upward until Re >= 12, apply Stirling with exact Bernoulli
-    coefficients, subtract the accumulated logs.  Each log in the recurrence
-    keeps its cut inside (-inf, 0], so the result agrees with the principal
-    branch everywhere off the cut.
-    """
-    del ctx  # accuracy policy is fixed by the table length
-    arr, scalar = _as_complex(z)
-    w, acc = _shift_up(arr, _SHIFT_REAL, np.log)
-    iw2 = 1.0 / (w * w)
+def _stirling(n: int, w: np.ndarray) -> np.ndarray:
+    """Row n of the Stirling series at w: log Gamma for n = 0, psi^(n-1)
+    for n >= 1, with the Bernoulli terms B_2 .. B_30."""
+    if n == 0:
+        iw2 = 1.0 / (w * w)
+        ser = np.zeros_like(w)
+        for c in _LG_COEF[::-1]:
+            ser = ser * iw2 + c
+        return (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + ser / w
+    m = n - 1
+    iw = 1.0 / w
+    iw2 = iw * iw
     ser = np.zeros_like(w)
-    for c in _LG_COEF[::-1]:
-        ser = ser * iw2 + c
-    ser = ser / w
-    out = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + ser + acc
+    for i in range(_MAX_BERNOULLI_PAIRS, 0, -1):
+        c = _B_EVEN[i] / (2 * i) if m == 0 else \
+            _B_EVEN[i] * (math.factorial(2 * i + m - 1) / math.factorial(2 * i))
+        ser = (ser + c) * iw2
+    if m == 0:
+        return np.log(w) - 0.5 * iw - ser
+    head = iw ** m * (math.factorial(m - 1) + 0.5 * math.factorial(m) * iw + ser)
+    return head * (-1.0) ** (m - 1)
+
+
+def _log_gamma_rows(z: np.ndarray, rows: range) -> np.ndarray:
+    """d^n/dz^n log Gamma(z) for n in rows, shape (len(rows),) + z.shape, at
+    finite z: row 0 is log Gamma and row m + 1 is psi^(m).
+
+    One walk w -> w + 1 serves every row.  Row n subtracts d^n/dw^n log w
+    at each w it passes and stops at its own Stirling target 12 + max(n-1, 0),
+    so it has the bits of a walk made for it alone.  A start more than
+    _MAX_SHIFT_STEPS below the highest target is refused.  Each log keeps its
+    cut inside (-inf, 0], so row 0 is the principal branch off that cut.
+    """
+    bad = _gamma_poles(z)
+    if bad.any():
+        raise PoleError(f"gamma pole at z = {z[bad][0]}")
+    top = _SHIFT_REAL + max(rows[-1] - 1, 0)
+    if np.any(top - z.real > _MAX_SHIFT_STEPS):
+        x0 = float(z.real.min())
+        raise DomainError(f"Re z = {x0} lies more than {_MAX_SHIFT_STEPS} unit steps below "
+                          f"the recurrence target {top}")
+    out = np.empty((len(rows),) + z.shape, dtype=np.complex128)
+    # per row: its accumulator, n, and (-1)^m m! for n = m + 1
+    walkers = [(np.zeros(z.shape, dtype=np.complex128), n,
+                (-1.0) ** (n - 1) * math.factorial(n - 1) if n else 0.0) for n in rows]
+    w = z.astype(np.complex128, copy=True)
+    for i, n in enumerate(rows):
+        target = _SHIFT_REAL + max(n - 1, 0)
+        while True:
+            mask = w.real < target
+            if not mask.any():
+                break
+            v = w[mask]
+            for acc, p, c in walkers[i:]:
+                acc[mask] -= c * v ** (-p) if p else np.log(v)
+            w[mask] += 1.0
+        out[i] = _stirling(n, w) + walkers[i][0]
+    return out
+
+
+def log_gamma(z):
+    """Principal-branch log Gamma, analytic on C minus the cut (-inf, 0]:
+    row 0 of _log_gamma_rows."""
+    arr, scalar = _as_complex(z)
+    out = _log_gamma_rows(arr, range(1))[0]
     return out[0] if scalar else out
 
 
-def polygamma(m: int, z, ctx: EvalContext | None = None):
-    """psi^(m)(z) for complex z, m = 0 .. 16.
-
-    Upward recurrence psi^(m)(z) = psi^(m)(z+1) - (-1)^m m! z^(-m-1) into
-    Re >= 12 + m, then the differentiated Stirling series.
-    """
-    del ctx
+def polygamma(m: int, z):
+    """psi^(m)(z) for complex z, m = 0 .. 16: row m + 1 of _log_gamma_rows."""
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise DomainError(f"derivative order must be a nonnegative integer, got {m!r}")
     if m > _MAX_POLYGAMMA:
         raise UnsupportedOrderError(f"polygamma order {m} exceeds supported maximum {_MAX_POLYGAMMA}")
     arr, scalar = _as_complex(z)
-    sign_fact = (-1.0) ** m * math.factorial(m)
-    w, acc = _shift_up(arr, _SHIFT_REAL + m, lambda v: sign_fact * v ** (-(m + 1)))
-    iw = 1.0 / w
-    iw2 = iw * iw
-    if m == 0:
-        ser = np.zeros_like(w)
-        for i in range(_MAX_BERNOULLI_PAIRS, 0, -1):
-            ser = (ser + _B_EVEN[i] / (2 * i)) * iw2
-        head = np.log(w) - 0.5 * iw - ser
-    else:
-        ser = np.zeros_like(w)
-        for i in range(_MAX_BERNOULLI_PAIRS, 0, -1):
-            ser = (ser + _B_EVEN[i] * (math.factorial(2 * i + m - 1) / math.factorial(2 * i))) * iw2
-        head = iw ** m * (
-            math.factorial(m - 1) + 0.5 * math.factorial(m) * iw + ser
-        )
-        head = head * (-1.0) ** (m - 1)
-    out = head + acc
+    out = _log_gamma_rows(arr, range(m + 1, m + 2))[0]
     return out[0] if scalar else out
 
 

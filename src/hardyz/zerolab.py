@@ -31,7 +31,7 @@ from .errors import (InconclusiveContourError, PrecisionError, ProximityError,
                      RangeError, TrackingError)
 from .evaluator import CAUCHY_RADIUS, REAL_MAX, REAL_MIN
 from .fmtio import fmt15
-from .gamma_factor import psi_pole_distance, theta, theta_grid
+from .gamma_factor import psi_pole_distance, theta, theta_linear_coeff
 
 SCAN_T_MIN = 5.0
 SCAN_T_MAX = 500.0
@@ -164,10 +164,7 @@ _scan_lock = threading.Lock()
 def _density_slope(datum: SelbergDatum, t: float) -> float:
     """theta'(t), closed-form Stirling main term, floored at 1."""
     d = datum.degree
-    c1 = (math.log(datum.q_factor)
-          + sum(l * (math.log(l) - 1.0) for l in datum.lambdas)
-          + 0.5 * d * math.log(2.0 * math.pi))
-    slope = 0.5 * d * (math.log(max(t, 2.0) / (2.0 * math.pi)) + 1.0) + c1
+    slope = 0.5 * d * (math.log(max(t, 2.0) / (2.0 * math.pi)) + 1.0) + theta_linear_coeff(datum)
     return max(slope, 1.0)
 
 

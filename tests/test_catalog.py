@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hardyz.catalog import builtin, catalog_listing, coefficients
+from hardyz.catalog import CuspFormProvider, builtin, catalog_listing, coefficients
 from hardyz.errors import CatalogError, DomainError, PrecisionError
 
 from oracles import TAU, sigma11_mod
@@ -104,6 +104,27 @@ def test_tau_ramanujan_congruence():
     tau = np.rint(a * n ** 5.5).astype(np.int64)
     for m in range(1, 61):
         assert int(tau[m - 1]) % 691 == sigma11_mod(m, 691)
+
+
+def test_tau_matches_plain_convolution():
+    # the reference: truncated self-convolution of exact integer lists,
+    # three times from the Jacobi series of the cube of the Euler product
+    def conv(c):
+        out = [0] * len(c)
+        for i, ci in enumerate(c):
+            for j in range(len(c) - i):
+                out[i + j] += ci * c[j]
+        return out
+
+    for n_max in (1, 2, 3, 37, 500):
+        p = [0] * n_max
+        k = 0
+        while k * (k + 1) // 2 < n_max:
+            p[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+            k += 1
+        for _ in range(3):
+            p = conv(p)
+        assert CuspFormProvider._tau_block(n_max) == p
 
 
 def test_coefficients_validation():

@@ -8,7 +8,8 @@ import pytest
 
 from hardyz.catalog import builtin
 from hardyz.context import DEFAULT_CONTEXT
-from hardyz.errors import DomainError, ExcludedRegionError, PoleError, RangeError
+from hardyz.errors import (DomainError, ExcludedRegionError, PoleError, RangeError,
+                           UnsupportedOrderError)
 from hardyz.gamma_factor import (fe_factor, fe_logderiv, fe_logderiv_grid,
                                  psi_pole_distance, theta, theta_asymptotic,
                                  theta_grid)
@@ -99,10 +100,29 @@ def test_fe_factor_inversion_identity():
 def test_fe_factor_poles_and_zeros():
     zeta = builtin("zeta")
     # numerator gamma pole at s = 1, 3, 5, ...
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError) as info:
         fe_factor(zeta, complex(3.0, 0.0))
+    assert (info.value.factor, info.value.index) == (0, 1)
     # denominator gamma pole makes H vanish at s = 0, -2, ...
     assert fe_factor(zeta, complex(0.0, 0.0)) == 0.0
+    # in a batch the first numerator pole raises, whatever precedes it
+    with pytest.raises(PoleError) as info:
+        fe_factor(zeta, np.array([0.5 + 3.0j, 0.0, 5.0, 3.0]))
+    assert (info.value.factor, info.value.index) == (0, 2)
+
+
+def test_fe_factor_array_matches_points():
+    rng = np.random.default_rng(29)
+    ss = rng.uniform(-4.0, 4.0, 60) + 1j * rng.uniform(-50.0, 50.0, 60)
+    for datum in _data():
+        lam, mu = datum.lambdas[0], datum.mus[0]
+        zeros = -(mu + np.arange(3.0)) / lam + 0j  # denominator poles: H = 0
+        pts = np.concatenate([ss[:30], zeros, ss[30:]])
+        got = fe_factor(datum, pts)
+        want = np.array([fe_factor(datum, complex(p)) for p in pts])
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[30:33] == 0.0) and np.all(got[:30] != 0.0)
+        assert fe_factor(datum, pts.reshape(7, 9)).shape == (7, 9)
 
 
 def test_fe_logderiv_vs_fd_of_h():
@@ -142,6 +162,12 @@ def test_fe_logderiv_grid_matches_scalar():
             assert complex(rows[j, i]) == fe_logderiv(datum, complex(s), j)
 
 
+def test_psi_order_cap_is_the_polygamma_cap():
+    assert fe_logderiv_grid(builtin("zeta"), np.array([0.5 + 20.0j]), 16).shape == (17, 1)
+    with pytest.raises(UnsupportedOrderError):
+        fe_logderiv_grid(builtin("zeta"), np.array([0.5 + 20.0j]), 17)
+
+
 def test_psi_half_closed_form():
     # for the degree-one datum with lambda=1/2, mu=0:
     # psi_F(1/2) = log pi - psi(1/4) = log pi + euler_gamma + 3 log 2 + pi/2
@@ -179,6 +205,8 @@ def test_non_finite_points_are_refused():
         with pytest.raises(DomainError):
             theta_grid(zeta, np.array([20.0, bad]))
         for s in (complex(bad, 20.0), complex(0.5, bad)):
+            with pytest.raises(DomainError):
+                fe_factor(zeta, s)
             with pytest.raises(DomainError):
                 fe_logderiv(zeta, s)
             with pytest.raises(DomainError):

@@ -4,7 +4,8 @@ Hurwitz zeta s-derivatives (pole-subtracted next to s = 1 as well), zeta
 and the characters over the evaluation box and next to s = 1, Z^(k)
 through mpmath.siegelz, and S(T) through mpmath.nzeros.  Points are seeded; errors must stay within the
 reported est_error.  The chain coefficient tails are checked against their
-partition sums over mpmath polygamma."""
+partition sums over mpmath polygamma, and every row of the log Gamma walk
+(log Gamma and psi^(0..16)) against mpmath.loggamma and mpmath.psi."""
 
 import math
 
@@ -15,7 +16,7 @@ import pytest
 from hardyz.catalog import builtin
 from hardyz.chain import chain_coeff_tail, chain_grid, z_grid
 from hardyz.evaluator import l_value_grid
-from hardyz.specfun import hurwitz_zeta
+from hardyz.specfun import _log_gamma_rows, hurwitz_zeta
 from hardyz.zerolab import argument_S
 
 
@@ -167,3 +168,25 @@ def test_coeff_tail_against_partition_sum():
                         for part in _partitions(k) if part.get(1, 0) < k))
                     got = chain_coeff_tail(datum, s, k)
                     assert abs(got - ref) <= 1e-13 * abs(ref), (name, s, k)
+
+
+def test_log_gamma_rows_against_mpmath():
+    # Re z in [-170, 40] covers the mirror arguments lambda (1 - s) + mu of
+    # the box (>= -174.5 at Re s = 350); a third of the points lie within 1
+    # of the real axis, none within 0.05 of a pole.  The walk cannot beat
+    # rounding in its largest term, so each row's error is measured against
+    # |value| plus the mass sum_k |d^n log(z + k)| of the steps it takes.
+    rng = np.random.default_rng(17)
+    z = rng.uniform(-170.0, 40.0, 24) + 1j * rng.uniform(-300.0, 300.0, 24)
+    z[:8] = z[:8].real + 1j * rng.uniform(-1.0, 1.0, 8)
+    z = z[np.abs(z - np.rint(z.real)) > 0.05]
+    rows = _log_gamma_rows(z, range(18))
+    with mpmath.workdps(30):
+        for n in range(18):
+            for zi, got in zip(z, rows[n]):
+                w = mpmath.mpc(zi.real, zi.imag)
+                ref = complex(mpmath.loggamma(w) if n == 0 else mpmath.psi(n - 1, w))
+                k = np.arange(max(0, math.ceil(12.0 + max(n - 1, 0) - zi.real)))
+                mass = (np.abs(np.log(zi + k)) if n == 0
+                        else math.factorial(n - 1) * np.abs(zi + k) ** (-n)).sum()
+                assert abs(got - ref) <= 1e-14 * (abs(ref) + mass), (n, zi)

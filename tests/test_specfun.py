@@ -11,8 +11,8 @@ import scipy.special as sps
 
 from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import DomainError, PoleError, UnsupportedOrderError
-from hardyz.specfun import (_bernoulli_exact, hurwitz_zeta, log_gamma, polygamma,
-                            series_terms)
+from hardyz.specfun import (_bernoulli_exact, _log_gamma_rows, hurwitz_zeta, log_gamma,
+                            polygamma, series_terms)
 
 from oracles import (HURWITZ_REFS, LOGGAMMA_REFS, POLYGAMMA_REFS, STIELTJES_1,
                      fd_derivative)
@@ -109,6 +109,22 @@ def test_polygamma_recurrence_identity():
             rhs = complex(polygamma(m, np.array([z]))[0]) \
                 + (-1.0) ** m * math.factorial(m) * z ** (-m - 1)
             assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
+
+
+def test_walk_rows_equal_single_rows():
+    # each row stops at its own Stirling target, so it has the same bits in
+    # any range of rows as alone (log_gamma and polygamma are single rows)
+    rng = np.random.default_rng(23)
+    z = rng.uniform(-60.0, 40.0, 200) + 1j * rng.uniform(-300.0, 300.0, 200)
+    z[:60] = z[:60].real + 1j * rng.uniform(-1.0, 1.0, 60)
+    z = z[np.abs(z - np.rint(z.real)) > 1e-3]
+    for _ in range(8):
+        lo = int(rng.integers(0, 18))
+        hi = int(rng.integers(lo + 1, 19))
+        rows = _log_gamma_rows(z, range(lo, hi))
+        for n, row in zip(range(lo, hi), rows):
+            alone = log_gamma(z) if n == 0 else polygamma(n - 1, z)
+            assert row.tobytes() == alone.tobytes(), (lo, hi, n)
 
 
 def test_polygamma_order_cap():
