@@ -34,7 +34,7 @@ from .chain import chain_value, z_derivative, z_grid
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import (ContextError, HardyZError, InconclusiveContourError,
                      TrackingError)
-from .fmtio import fmt15, fmt15_complex, to_json
+from .fmtio import fmt15, to_csv, to_json
 from .zerolab import (Rectangle, contour_count, count_compare, interlace_audit,
                       mirror_sum_check, scan_zeros)
 
@@ -176,32 +176,23 @@ def _run(args: argparse.Namespace) -> None:
             _emit(fmt15(r.value) + "\n", None)
         else:
             cv = chain_value(datum, complex(*_parse_floats(args.s, "RE,IM")), args.k, ctx)
-            payload = {
-                "s": fmt15_complex(cv.s),
-                "k": cv.k,
-                "coeff": fmt15_complex(cv.coeff),
-                "value": fmt15_complex(cv.value),
-                "lead_ratio": None if cv.lead_ratio is None else fmt15_complex(cv.lead_ratio),
-                "tail_ratio": None if cv.tail_ratio is None else fmt15_complex(cv.tail_ratio),
-                "est_error": cv.est_error,
-            }
-            _emit(to_json(payload) + "\n", None)
+            _emit(to_json(cv) + "\n", None)
         return
 
     if args.command == "zeros":
         table = scan_zeros(datum, args.k, args.t0, args.t1, ctx)
-        text = table.to_csv_text() if args.format == "csv" else to_json(table.to_jsonable()) + "\n"
+        text = table.to_csv_text() if args.format == "csv" else to_json(table) + "\n"
         _emit(text, args.out)
         return
 
     if args.command == "interlace":
         rep = interlace_audit(datum, args.k, args.t0, args.t1, ctx)
-        _emit(to_json(rep.to_jsonable()) + "\n", args.out)
+        _emit(to_json(rep) + "\n", args.out)
         return
 
     if args.command == "count":
         rep = count_compare(datum, args.k, args.T, ctx)
-        _emit(to_json(rep.to_jsonable()) + "\n", args.out)
+        _emit(to_json(rep) + "\n", args.out)
         return
 
     if args.command == "contour":
@@ -212,7 +203,7 @@ def _run(args: argparse.Namespace) -> None:
 
     if args.command == "mirror":
         rep = mirror_sum_check(datum, args.k, args.t, args.window, ctx, c_budget=args.budget)
-        _emit(to_json(rep.to_jsonable()) + "\n", args.out)
+        _emit(to_json(rep) + "\n", args.out)
         return
 
     if args.command == "sample":
@@ -226,8 +217,7 @@ def _run(args: argparse.Namespace) -> None:
             raise ContextError(f"sample grid of {n_steps + 1:.3g} points cannot be allocated") from None
         vals, _ = z_grid(datum, ts, args.k, ctx)
         if args.format == "csv":
-            lines = ["t,z"] + [f"{fmt15(t)},{fmt15(v)}" for t, v in zip(ts, vals)]
-            _emit("\n".join(lines) + "\n", args.out)
+            _emit(to_csv(("t", "z"), zip(ts, vals)), args.out)
         else:
             _emit(to_json([{"t": float(t), "z": float(v)} for t, v in zip(ts, vals)]) + "\n", args.out)
         return

@@ -102,13 +102,8 @@ def _dirichlet_grid(table: tuple[float, ...], arr: np.ndarray,
     scale = None if q == 1 else np.exp(-s_rows * math.log(q))
     # pole-subtracted remainders: the 1/(s-1) parts cancel exactly in a
     # mean-zero table, so dropping them keeps s = 1 regular
-    value, last = _em_finish(s_rows, main.ravel(), big, 0, ctx.em_bernoulli,
-                             sum(table) == 0.0, scale)
-    # per class as in hurwitz_zeta: four times the last Bernoulli term, the
-    # rounding allowance of the direct sum, and a relative floor
-    est = (4.0 * np.abs(last)
-           + (5e-15 + 2e-16 * np.abs(s_rows.imag)) * main_abs.ravel()
-           + 1e-15 * np.abs(value))
+    value, est = _em_finish(s_rows, main.ravel(), main_abs.ravel(), big, 0, ctx.em_bernoulli,
+                            sum(table) == 0.0, scale)
     vals = np.zeros_like(flat)
     errs = np.zeros(flat.shape, dtype=np.float64)
     for a, v, e in zip(residues, value.reshape(main.shape), est.reshape(main.shape)):

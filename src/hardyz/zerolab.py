@@ -14,13 +14,18 @@ k, range, context).  Scans pass whole grids to z_grid: every value is a
 function of (datum, t, k, context) alone, whatever batch it is computed in.
 argument_S and contour_count share one arg-change integrator, _phase_walk,
 which evaluates all the points of one refinement round in one batch.
+
+The reports are frozen dataclasses with no rendering code of their own:
+fmtio.to_json prints them field by field, ZeroTable.to_csv_text goes
+through fmtio.to_csv, and to_jsonable() is dataclasses.asdict, the same
+fields as a dict for json.dumps.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import (InconclusiveContourError, PrecisionError, ProximityError,
                      RangeError, TrackingError)
 from .evaluator import CAUCHY_RADIUS, REAL_MAX, REAL_MIN
-from .fmtio import fmt15
+from .fmtio import to_csv
 from .gamma_factor import psi_pole_distance, theta, theta_linear_coeff
 
 SCAN_T_MIN = 5.0
@@ -38,8 +43,16 @@ SCAN_T_MAX = 500.0
 SCAN_K_MAX = 6
 
 
+class _Report:
+    """The JSON form shared by the report dataclasses."""
+
+    def to_jsonable(self) -> dict:
+        """The fields in declaration order, nested GapRecords as dicts."""
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class ZeroTable:
+class ZeroTable(_Report):
     """Refined zeros of Z^(k) on [t0, t1]."""
 
     name: str
@@ -52,22 +65,8 @@ class ZeroTable:
     advisory: tuple[float, ...]  # near-tangential dips without sign change
 
     def to_csv_text(self) -> str:
-        lines = ["k,t,residual,bracket_width"]
-        for g, r, b in zip(self.gammas, self.residuals, self.bracket_widths):
-            lines.append(f"{self.k},{fmt15(g)},{fmt15(r)},{fmt15(b)}")
-        return "\n".join(lines) + "\n"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "k": self.k,
-            "t0": self.t0,
-            "t1": self.t1,
-            "gammas": list(self.gammas),
-            "residuals": list(self.residuals),
-            "bracket_widths": list(self.bracket_widths),
-            "advisory": list(self.advisory),
-        }
+        rows = ((self.k, g, r, b) for g, r, b in zip(self.gammas, self.residuals, self.bracket_widths))
+        return to_csv(("k", "t", "residual", "bracket_width"), rows)
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class GapRecord:
 
 
 @dataclass(frozen=True)
-class InterlaceReport:
+class InterlaceReport(_Report):
     name: str
     k: int
     t0: float
@@ -87,22 +86,9 @@ class InterlaceReport:
     gaps: tuple[GapRecord, ...]
     violations: int
 
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "k": self.k,
-            "t0": self.t0,
-            "t1": self.t1,
-            "gaps": [
-                {"left": g.left, "right": g.right, "inner": list(g.inner), "count": g.count}
-                for g in self.gaps
-            ],
-            "violations": self.violations,
-        }
-
 
 @dataclass(frozen=True)
-class CountReport:
+class CountReport(_Report):
     name: str
     T: float
     k: int
@@ -110,17 +96,6 @@ class CountReport:
     theta_term: float
     s_measured: float
     residual: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "T": self.T,
-            "k": self.k,
-            "n_line": self.n_line,
-            "theta_term": self.theta_term,
-            "s_measured": self.s_measured,
-            "residual": self.residual,
-        }
 
 
 @dataclass(frozen=True)
@@ -132,7 +107,7 @@ class Rectangle:
 
 
 @dataclass(frozen=True)
-class MirrorReport:
+class MirrorReport(_Report):
     name: str
     k: int
     t: float
@@ -142,19 +117,6 @@ class MirrorReport:
     tail_bound: float
     c_fit: float
     agree: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "k": self.k,
-            "t": self.t,
-            "window": self.window,
-            "lhs": self.lhs,
-            "truncated_sum": self.truncated_sum,
-            "tail_bound": self.tail_bound,
-            "c_fit": self.c_fit,
-            "agree": self.agree,
-        }
 
 
 _scan_cache: dict[tuple, ZeroTable] = {}
@@ -258,7 +220,9 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
     )
 
     absv = np.abs(vals)
-    scale = float(np.median(absv)) if absv.size else 0.0
+    # the median as np.median takes it, whose NaN check imports numpy.ma
+    srt = np.sort(absv)
+    scale = 0.5 * float(srt[(srt.size - 1) // 2] + srt[srt.size // 2])
     advisory = []
     for i in range(1, len(vals) - 1):
         if absv[i] < absv[i - 1] and absv[i] < absv[i + 1] and absv[i] < 1e-3 * scale:
@@ -490,8 +454,10 @@ def mirror_sum_check(datum: SelbergDatum, k: int, t: float, window: float,
     ctx = ctx or DEFAULT_CONTEXT
     if not (0 <= k <= SCAN_K_MAX):
         raise RangeError(f"mirror check supports k <= {SCAN_K_MAX}")
-    if not math.isfinite(c_budget):
-        raise RangeError(f"c_budget must be finite, got {c_budget}")
+    # NaN passes every range comparison below, so it is refused first
+    for name, val in (("t", t), ("window", window), ("c_budget", c_budget)):
+        if not math.isfinite(val):
+            raise RangeError(f"{name} must be finite, got {val}")
     if window < 5.0:
         raise RangeError("window must be at least 5")
     if t - window < SCAN_T_MIN or t + window > SCAN_T_MAX:

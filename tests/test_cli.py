@@ -134,6 +134,9 @@ def test_exit_code_validation_errors(capsys, tmp_path):
     for budget in ("nan", "inf"):
         assert run(capsys, ["mirror", "--datum", "zeta", "--t", "100", "--window", "10",
                             "--budget", budget])[0] == 2
+    for t, window, name in (("nan", "10", "t"), ("100", "nan", "window")):
+        rc, _, err = run(capsys, ["mirror", "--datum", "zeta", "--t", t, "--window", window])
+        assert rc == 2 and err.startswith(f"error: {name} must be finite"), err
     # malformed values are reported, not raised as tracebacks
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
                         "--set", "em_cutoff=abc"])[0] == 2

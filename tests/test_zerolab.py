@@ -2,11 +2,16 @@
 mirrored-zero-sum check."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardyz
 from hardyz import zerolab
 from hardyz.catalog import builtin
 from hardyz.chain import chain_grid, z_grid
@@ -140,6 +145,17 @@ def test_scan_validation():
         scan_zeros(zeta, 0, 10.0, 900.0)
     with pytest.raises(RangeError):
         scan_zeros(zeta, 7, 10.0, 30.0)
+
+
+def test_scan_leaves_numpy_ma_unimported():
+    # np.median's NaN check imports numpy.ma, ~9 ms on each CLI scan
+    code = ("import sys; from hardyz import builtin, scan_zeros; "
+            "scan_zeros(builtin('zeta'), 0, 10.0, 22.0); print('numpy.ma' in sys.modules)")
+    src = str(Path(hardyz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"
 
 
 def test_zero_table_csv_shape():
@@ -288,6 +304,11 @@ def test_mirror_validation():
     for budget in (math.nan, math.inf):
         with pytest.raises(RangeError):
             mirror_sum_check(builtin("zeta"), 0, 100.0, 10.0, c_budget=budget)
+    # NaN fails no range comparison, so it must be refused by name
+    with pytest.raises(RangeError, match="^t must be finite"):
+        mirror_sum_check(builtin("zeta"), 0, math.nan, 10.0)
+    with pytest.raises(RangeError, match="^window must be finite"):
+        mirror_sum_check(builtin("zeta"), 0, 100.0, math.nan)
 
 
 def test_scan_cache_returns_consistent_tables():
