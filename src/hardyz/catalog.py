@@ -213,8 +213,7 @@ def _build(name: str) -> SelbergDatum:
     raise CatalogError(f"unknown datum name: {name!r}")
 
 
-BUILTIN_NAMES = ("zeta", "chi3", "chi4", "chi5")
-EXPERIMENTAL_NAMES = ("delta",)
+BUILTIN_NAMES = ("zeta", "chi3", "chi4", "chi5", "delta")
 
 
 @lru_cache(maxsize=None)
@@ -234,11 +233,12 @@ def builtin(name: str, experimental: bool = False) -> SelbergDatum:
     Experimental entries (currently just delta) raise CatalogError unless
     explicitly enabled, since their strip evaluation carries larger error.
     """
-    if name not in BUILTIN_NAMES + EXPERIMENTAL_NAMES:
+    if name not in BUILTIN_NAMES:
         raise CatalogError(f"unknown datum name: {name!r}")
-    if name in EXPERIMENTAL_NAMES and not experimental:
+    d = _builtin_cached(name)
+    if d.experimental and not experimental:
         raise CatalogError(f"{name!r} is experimental; pass experimental=True to enable")
-    return _builtin_cached(name)
+    return d
 
 
 def coefficients(datum: SelbergDatum, n_max: int) -> np.ndarray:
@@ -254,10 +254,11 @@ def coefficients(datum: SelbergDatum, n_max: int) -> np.ndarray:
 
 def catalog_listing(experimental: bool = False) -> list[dict]:
     """JSON-ready summary of the available data."""
-    names = BUILTIN_NAMES + (EXPERIMENTAL_NAMES if experimental else ())
     out = []
-    for name in names:
+    for name in BUILTIN_NAMES:
         d = builtin(name, experimental=True)
+        if d.experimental and not experimental:
+            continue
         out.append({
             "name": d.name,
             "Q": d.q_factor,

@@ -44,9 +44,10 @@ import numpy as np
 
 from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
-from .errors import PrecisionError, UnsupportedOrderError
-from .evaluator import check_box, l_derivs_grid
-from .gamma_factor import _log_gamma_sum, check_psi_domain, fe_logderiv_grid, theta_grid
+from .errors import PrecisionError, UnsupportedOrderError, check_order
+from .evaluator import l_derivs_grid
+from .gamma_factor import (_log_gamma_sum, check_box, check_line, check_psi_domain,
+                           fe_logderiv_grid, theta_grid)
 
 _MAX_CHAIN = 8
 # |f_k| or |psi/2| at or below this counts as vanishing, and the ratio that
@@ -82,8 +83,7 @@ class ZDerivative:
 
 
 def _check_k(k: int, cap: int = _MAX_CHAIN) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > cap:
-        raise UnsupportedOrderError(f"chain order k must be an integer in 0..{cap}, got {k!r}")
+    check_order(k, cap, UnsupportedOrderError, "chain order k")
 
 
 def _binomial_sum(b, a, n: int):
@@ -139,23 +139,22 @@ def chain_coeff_tail(datum: SelbergDatum, s: complex, k: int,
     return complex(tail[0])
 
 
-def chain_grid(datum: SelbergDatum, s_arr, k: int, ctx: EvalContext | None = None,
-               extra: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f stack, F stack, est errors) over a batch; stacks cover 0..k+extra.
+def chain_grid(datum: SelbergDatum, s_arr, k: int,
+               ctx: EvalContext | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f stack, F stack, est errors) over a batch; stacks cover 0..k.
 
     One Cauchy circle supplies every F^(j); the f's reuse one psi stack.
     """
-    _check_k(k + extra)
+    _check_k(k)
     ctx = ctx or DEFAULT_CONTEXT
     arr = np.asarray(s_arr, dtype=np.complex128)
     # the box first: psi far outside it is refused with a less useful message
     check_box(arr)
-    top = k + extra
-    f = coeff_stack_grid(datum, arr, top, ctx)
-    dv, de = l_derivs_grid(datum, arr, top, ctx)
-    big_f = np.array([_binomial_sum(f, dv, j) for j in range(top + 1)])
+    f = coeff_stack_grid(datum, arr, k, ctx)
+    dv, de = l_derivs_grid(datum, arr, k, ctx)
+    big_f = np.array([_binomial_sum(f, dv, j) for j in range(k + 1)])
     abs_f = np.abs(f)
-    est = np.array([_binomial_sum(abs_f, de, j) for j in range(top + 1)])
+    est = np.array([_binomial_sum(abs_f, de, j) for j in range(k + 1)])
     return f, big_f, est
 
 
@@ -184,7 +183,7 @@ def chain_derivative(datum: SelbergDatum, s: complex, k: int,
     _check_k(k, cap=_MAX_CHAIN - 1)
     ctx = ctx or DEFAULT_CONTEXT
     arr = np.array([complex(s)])
-    f, big_f, _ = chain_grid(datum, arr, k, ctx, extra=1)
+    f, big_f, _ = chain_grid(datum, arr, k + 1, ctx)
     psi0 = -2.0 * complex(f[1, 0])
     return complex(big_f[k + 1, 0]) + 0.5 * psi0 * complex(big_f[k, 0])
 
@@ -198,6 +197,7 @@ def z_grid(datum: SelbergDatum, t_arr, k: int,
     _check_k(k)
     ctx = ctx or DEFAULT_CONTEXT
     t = np.asarray(t_arr, dtype=np.float64)
+    check_line(t)
     tt = np.abs(t)
     s = 0.5 + 1j * tt
     _, big_f, _ = chain_grid(datum, s, k, ctx)
@@ -234,6 +234,7 @@ def center_prefactor(datum: SelbergDatum, t: float, k: int) -> float:
     """Real prefactor g with xi_k(1/2+it) = (-i)^k e^(i arg(omega)/2) g(t) Z^(k)(t)."""
     _check_k(k)
     t = float(t)
+    check_line(t)
     lg = _log_gamma_sum(datum, np.array([complex(0.5, t)]), range(1))[0, 0]
     mag = math.log(datum.q_factor) * 0.5 + (1.0 - 2.0 * k) * float(lg.real)
     if mag > 700.0:

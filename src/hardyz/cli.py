@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import get_type_hints
 
 import numpy as np
 
@@ -48,7 +49,8 @@ def _parse_kv(text: str) -> tuple[str, str]:
 
 def _coerce(key: str, val: str):
     try:
-        return int(val) if key in ("em_cutoff", "em_bernoulli") else float(val)
+        # an unknown key parses as a float and is then refused by name
+        return get_type_hints(EvalContext).get(key, float)(val)
     except ValueError:
         raise ContextError(f"{key}: cannot parse {val!r} as a number") from None
 

@@ -3,10 +3,13 @@
 Everything raised on purpose derives from HardyZError so the CLI can map
 failures to exit codes: validation and domain problems exit 2, numerically
 inconclusive results (a contour count that cannot be trusted, a phase walk
-that cannot follow the argument) exit 3.
+that cannot follow the argument) exit 3.  check_order is the one rule for
+derivative orders, raising whichever of these classes its caller names.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 
 class HardyZError(Exception):
@@ -75,3 +78,9 @@ class ProximityError(DomainError):
 
 class ContextError(HardyZError):
     """EvalContext field fails its validity invariant."""
+
+
+def check_order(k, cap: int, error: type[HardyZError], what: str) -> None:
+    """Refuse k unless it is an integer in 0..cap; bool and 1.0 are refused."""
+    if isinstance(k, bool) or not isinstance(k, Integral) or not 0 <= k <= cap:
+        raise error(f"{what} must be an integer in 0..{cap}, got {k!r}")

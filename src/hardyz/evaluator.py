@@ -32,13 +32,9 @@ import numpy as np
 
 from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
-from .errors import DomainError, GeometryError, PoleError, UnsupportedOrderError
-from .gamma_factor import fe_factor
+from .errors import DomainError, GeometryError, PoleError, UnsupportedOrderError, check_order
+from .gamma_factor import REAL_MAX, REAL_MIN, check_box, fe_factor
 from .specfun import _em_finish, power_tables, series_terms
-
-REAL_MIN = -4.0
-REAL_MAX = 350.0
-IMAG_MAX = 600.0
 
 CAUCHY_RADIUS = 0.25
 CAUCHY_NODES = 64
@@ -53,15 +49,6 @@ class LValue:
     s: complex
     value: complex
     est_error: float
-
-
-def check_box(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("s must be finite")
-    if np.any(arr.real < REAL_MIN) or np.any(arr.real > REAL_MAX) or np.any(np.abs(arr.imag) > IMAG_MAX):
-        raise DomainError(
-            f"s outside the supported box [{REAL_MIN}, {REAL_MAX}] x [-{IMAG_MAX}i, {IMAG_MAX}i]"
-        )
 
 
 def _check_pole(datum: SelbergDatum, arr: np.ndarray) -> None:
@@ -102,8 +89,7 @@ def _dirichlet_grid(table: tuple[float, ...], arr: np.ndarray,
     scale = None if q == 1 else np.exp(-s_rows * math.log(q))
     # pole-subtracted remainders: the 1/(s-1) parts cancel exactly in a
     # mean-zero table, so dropping them keeps s = 1 regular
-    value, est = _em_finish(s_rows, main.ravel(), main_abs.ravel(), big, 0, ctx.em_bernoulli,
-                            sum(table) == 0.0, scale)
+    value, est = _em_finish(s_rows, main.ravel(), main_abs.ravel(), big, 0, sum(table) == 0.0, scale)
     vals = np.zeros_like(flat)
     errs = np.zeros(flat.shape, dtype=np.float64)
     for a, v, e in zip(residues, value.reshape(main.shape), est.reshape(main.shape)):
@@ -170,8 +156,7 @@ def l_derivs_grid(datum: SelbergDatum, s_arr, j_max: int,
     stay inside the evaluation box and away from the pole at s = 1.
     """
     ctx = ctx or DEFAULT_CONTEXT
-    if j_max < 0 or j_max > _MAX_DERIV:
-        raise UnsupportedOrderError(f"derivative order must lie in 0..{_MAX_DERIV}")
+    check_order(j_max, _MAX_DERIV, UnsupportedOrderError, "derivative order")
     arr = np.asarray(s_arr, dtype=np.complex128)
     vals0, errs0 = l_value_grid(datum, arr, ctx)
     out = np.empty((j_max + 1,) + arr.shape, dtype=np.complex128)

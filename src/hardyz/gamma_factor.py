@@ -35,8 +35,29 @@ import numpy as np
 from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import (DomainError, ExcludedRegionError, PoleError, RangeError,
-                     UnsupportedOrderError)
+                     UnsupportedOrderError, check_order)
 from .specfun import _MAX_POLYGAMMA, _gamma_poles, _log_gamma_rows
+
+
+# the supported box: s for every value of F, and 1/2 + it for theta and Z
+REAL_MIN = -4.0
+REAL_MAX = 350.0
+IMAG_MAX = 600.0
+
+
+def check_box(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("s must be finite")
+    if np.any(arr.real < REAL_MIN) or np.any(arr.real > REAL_MAX) or np.any(np.abs(arr.imag) > IMAG_MAX):
+        raise DomainError(
+            f"s outside the supported box [{REAL_MIN}, {REAL_MAX}] x [-{IMAG_MAX}i, {IMAG_MAX}i]"
+        )
+
+
+def check_line(t) -> None:
+    """Refuse heights t off the box's critical line before any arithmetic on t."""
+    if not np.all(np.abs(t) <= IMAG_MAX):  # NaN compares False, without a warning
+        raise DomainError(f"t must be finite and in [-{IMAG_MAX}, {IMAG_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -118,8 +139,7 @@ def fe_logderiv_grid(datum: SelbergDatum, s_arr: np.ndarray, max_order: int,
     psi^(m)(s) = -2 log Q [m = 0] - (-1)^m L^(m+1)(1-s) - L^(m+1)(s), from
     one walk over the mirror and direct arguments."""
     ctx = ctx or DEFAULT_CONTEXT
-    if max_order < 0 or max_order > _MAX_POLYGAMMA:
-        raise UnsupportedOrderError(f"psi derivative order must lie in 0..{_MAX_POLYGAMMA}")
+    check_order(max_order, _MAX_POLYGAMMA, UnsupportedOrderError, "psi derivative order")
     arr = np.asarray(s_arr, dtype=np.complex128)
     check_psi_domain(datum, arr, ctx)
     lg = _log_gamma_sum(datum, np.stack([1.0 - arr, arr]), range(1, max_order + 2))
@@ -142,8 +162,7 @@ def theta_grid(datum: SelbergDatum, t_arr: np.ndarray) -> tuple[np.ndarray, np.n
     theta = t log Q + Im L(1/2 + it) and theta' = log Q + Re L'(1/2 + it),
     from one walk."""
     t = np.asarray(t_arr, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise DomainError("t must be finite")
+    check_line(t)
     lg = _log_gamma_sum(datum, 0.5 + 1j * t, range(2))
     theta = t * math.log(datum.q_factor) + lg[0].imag
     theta_p = math.log(datum.q_factor) + lg[1].real

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .context import DEFAULT_CONTEXT, EvalContext
-from .errors import DomainError, PoleError, UnsupportedOrderError
+from .errors import DomainError, PoleError, UnsupportedOrderError, check_order
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -43,6 +43,8 @@ _SHIFT_REAL = 12.0
 _MAX_POLYGAMMA = 16
 _MAX_HURWITZ_DERIV = 4
 _MAX_BERNOULLI_PAIRS = 15  # table covers B_2 .. B_30
+# Bernoulli corrections B_2 .. B_24 after every Euler-Maclaurin direct sum
+_EM_BERNOULLI_PAIRS = 12
 # unit steps allowed in the upward recurrence; the package's own gamma
 # arguments (Re >= -343.5 for Re s <= 350, target <= 28) need at most ~372
 _MAX_SHIFT_STEPS = 1000
@@ -161,10 +163,7 @@ def log_gamma(z):
 
 def polygamma(m: int, z):
     """psi^(m)(z) for complex z, m = 0 .. 16: row m + 1 of _log_gamma_rows."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise DomainError(f"derivative order must be a nonnegative integer, got {m!r}")
-    if m > _MAX_POLYGAMMA:
-        raise UnsupportedOrderError(f"polygamma order {m} exceeds supported maximum {_MAX_POLYGAMMA}")
+    check_order(m, _MAX_POLYGAMMA, UnsupportedOrderError, "polygamma order m")
     arr, scalar = _as_complex(z)
     out = _log_gamma_rows(arr, range(m + 1, m + 2))[0]
     return out[0] if scalar else out
@@ -296,10 +295,10 @@ def _direct_sum(s: np.ndarray, a: float, j: int, n_terms: int) -> tuple[np.ndarr
 
 
 def _em_finish(s: np.ndarray, main: np.ndarray, main_abs: np.ndarray, big: np.ndarray, j: int,
-               k_bern: int, sub_pole: bool,
-               scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Add the Euler-Maclaurin tail, half term and Bernoulli corrections to
-    the direct sums main, each correction multiplied by scale if given.
+               sub_pole: bool, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Add the Euler-Maclaurin tail, half term and _EM_BERNOULLI_PAIRS
+    Bernoulli corrections to the direct sums main, each correction
+    multiplied by scale if given.
 
     big holds each point's N + a, the first abscissa left out of its direct
     sum, and main_abs the sum of its term moduli.  Returns (value, error
@@ -348,7 +347,7 @@ def _em_finish(s: np.ndarray, main: np.ndarray, main_abs: np.ndarray, big: np.nd
     orders = np.arange(1, j + 1)[:, None]
     weights = np.array([math.comb(j, m) * (-lb) ** (j - m) for m in range(j + 1)])
     bern = np.zeros_like(s)
-    for i in range(1, k_bern + 1):
+    for i in range(1, _EM_BERNOULLI_PAIRS + 1):
         if i > 1:
             for c in (2 * i - 3, 2 * i - 2):
                 stack[1:] = (s + c) * stack[1:] + orders * stack[:-1]
@@ -383,16 +382,13 @@ def hurwitz_zeta(s, a: float = 1.0, deriv: int = 0, ctx: EvalContext | None = No
     function that is valid at s = 1 as well.
 
     Each point sums series_terms(Im s) direct terms, em_scale * |Im s|
-    rounded up to a tier of _TIER terms above em_cutoff, so its value is a
-    function of (s, a, deriv, ctx) alone.  The error estimate is four times
-    the last Bernoulli correction plus a rounding allowance for the direct
-    sum.
+    rounded up to a tier of _TIER terms above em_cutoff, then the 12
+    Bernoulli corrections B_2 .. B_24, so its value is a function of
+    (s, a, deriv, ctx) alone.  The error estimate is four times the last
+    Bernoulli correction plus a rounding allowance for the direct sum.
     """
     ctx = ctx or DEFAULT_CONTEXT
-    if not isinstance(deriv, (int, np.integer)) or deriv < 0:
-        raise DomainError(f"deriv must be a nonnegative integer, got {deriv!r}")
-    if deriv > _MAX_HURWITZ_DERIV:
-        raise UnsupportedOrderError(f"hurwitz_zeta supports s-derivatives up to {_MAX_HURWITZ_DERIV}")
+    check_order(deriv, _MAX_HURWITZ_DERIV, UnsupportedOrderError, "hurwitz_zeta deriv")
     if not (0.0 < a <= 1.0):
         raise DomainError(f"shift parameter a must lie in (0, 1], got {a}")
     arr, scalar = _as_complex(s)
@@ -405,8 +401,7 @@ def hurwitz_zeta(s, a: float = 1.0, deriv: int = 0, ctx: EvalContext | None = No
     main_abs = np.empty(flat.shape, dtype=np.float64)
     for idx, n in tier_chunks(lengths):
         main[idx], main_abs[idx] = _direct_sum(flat[idx], float(a), int(deriv), n)
-    value, est = _em_finish(flat, main, main_abs, lengths + float(a), int(deriv),
-                            ctx.em_bernoulli, sub_pole)
+    value, est = _em_finish(flat, main, main_abs, lengths + float(a), int(deriv), sub_pole)
     vals, errs = value.reshape(arr.shape), est.reshape(arr.shape)
     if scalar:
         return (vals[0], float(errs[0])) if with_error else vals[0]

@@ -33,10 +33,10 @@ from .catalog import SelbergDatum
 from .chain import chain_grid, coeff_stack_grid, z_grid
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import (InconclusiveContourError, PrecisionError, ProximityError,
-                     RangeError, TrackingError)
-from .evaluator import CAUCHY_RADIUS, REAL_MAX, REAL_MIN
+                     RangeError, TrackingError, check_order)
+from .evaluator import CAUCHY_RADIUS
 from .fmtio import to_csv
-from .gamma_factor import psi_pole_distance, theta, theta_linear_coeff
+from .gamma_factor import REAL_MAX, REAL_MIN, psi_pole_distance, theta, theta_linear_coeff
 
 SCAN_T_MIN = 5.0
 SCAN_T_MAX = 500.0
@@ -192,8 +192,7 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
     ctx = ctx or DEFAULT_CONTEXT
     if not (SCAN_T_MIN <= t0 < t1 <= SCAN_T_MAX):
         raise RangeError(f"scan range must satisfy {SCAN_T_MIN} <= t0 < t1 <= {SCAN_T_MAX}")
-    if not (0 <= k <= SCAN_K_MAX):
-        raise RangeError(f"scan supports derivative orders 0..{SCAN_K_MAX}")
+    check_order(k, SCAN_K_MAX, RangeError, "scan order k")
     # the provider is not part of datum equality, and two data that differ
     # only in their coefficients must not share a table
     key = (datum, datum.provider, k, float(t0), float(t1), astuple(ctx))
@@ -250,8 +249,7 @@ def interlace_audit(datum: SelbergDatum, k: int, t0: float, t1: float,
     one inner zero unconditionally, so count = 0 would indicate a scan
     artifact rather than mathematics.
     """
-    if not (0 <= k <= SCAN_K_MAX - 1):
-        raise RangeError(f"interlace audit needs k+1 <= {SCAN_K_MAX}")
+    check_order(k, SCAN_K_MAX - 1, RangeError, "interlace audit order k")
     base = scan_zeros(datum, k, t0, t1, ctx)
     upper = scan_zeros(datum, k + 1, t0, t1, ctx)
     gaps = []
@@ -265,9 +263,10 @@ def interlace_audit(datum: SelbergDatum, k: int, t0: float, t1: float,
     return InterlaceReport(datum.name, int(k), float(t0), float(t1), tuple(gaps), violations)
 
 
-def _tracking_abscissa(datum: SelbergDatum, k: int, ctx: EvalContext) -> float:
-    """sigma_right(k), nudged rightward off any real pole of psi."""
-    base = ctx.sigma_right(k)
+def _tracking_abscissa(datum: SelbergDatum, k: int) -> float:
+    """The right end 6 + 2k of the tracking path, nudged rightward off any
+    real pole of psi; the guard passes there for every built-in datum."""
+    base = 6.0 + 2.0 * k
     for j in range(9):
         sigma = base + j / 8.0
         if psi_pole_distance(datum, sigma) >= 0.45:
@@ -294,12 +293,12 @@ def _guard_tracking_line(datum: SelbergDatum, k: int, sigma: float, t_top: float
     f = coeff_stack_grid(datum, pts, max(k, 1), ctx)
     psi = -2.0 * f[1]
     if np.any(psi.real >= 0.0):
-        raise PrecisionError("Re psi >= 0 on the tracking line; increase sigma_right")
+        raise PrecisionError(f"Re psi >= 0 on the tracking line sigma = {sigma:g}")
     if np.any(np.abs(f[k]) == 0.0):
-        raise PrecisionError("f_k vanishes on the tracking line; increase sigma_right")
+        raise PrecisionError(f"f_k vanishes on the tracking line sigma = {sigma:g}")
     ratio = chain_grid(datum, pts, k, ctx)[1][k] / f[k]
     if np.any(np.abs(ratio - 1.0) > 0.9):
-        raise PrecisionError("F_k strays from its dominant power on the tracking line; increase sigma_right")
+        raise PrecisionError(f"F_k strays from its dominant power on the tracking line sigma = {sigma:g}")
 
 
 def _phase_walk(values, corners, err) -> tuple[float, list[np.ndarray]]:
@@ -359,15 +358,14 @@ def argument_S(datum: SelbergDatum, k: int, T: float,
     ctx = ctx or DEFAULT_CONTEXT
     if not (SCAN_T_MIN <= T <= SCAN_T_MAX):
         raise RangeError(f"argument tracking supports {SCAN_T_MIN} <= T <= {SCAN_T_MAX}")
-    if not (0 <= k <= SCAN_K_MAX):
-        raise RangeError(f"argument tracking supports k <= {SCAN_K_MAX}")
-    sigma = _tracking_abscissa(datum, k, ctx)
+    check_order(k, SCAN_K_MAX, RangeError, "argument tracking order k")
+    sigma = _tracking_abscissa(datum, k)
     _guard_tracking_line(datum, k, sigma, T, ctx)
     turn, samples = _phase_walk(lambda s: chain_grid(datum, s, k, ctx)[1][k],
                                 [sigma, complex(sigma, T), complex(0.5, T)], TrackingError)
     start = complex(samples[0][0])
     if abs(start) < 1e-9 or abs(start.imag) > 1e-6 * abs(start):
-        raise PrecisionError("F_k not usably real at the tracking start; increase sigma_right")
+        raise PrecisionError(f"F_k not usably real at the tracking start sigma = {sigma:g}")
     # F_k(sigma) is real but near the axis its sign depends on where psi sits
     # between its poles; a negative start pins arg to +pi by convention, a
     # T-independent choice that lands in the order-one residual.
@@ -386,9 +384,8 @@ def count_compare(datum: SelbergDatum, k: int, T: float,
     """
     ctx = ctx or DEFAULT_CONTEXT
     if not (20.0 <= T <= SCAN_T_MAX):
-        raise RangeError("count comparison supports 20 <= T <= 500")
-    if not (0 <= k <= SCAN_K_MAX):
-        raise RangeError(f"count comparison supports k <= {SCAN_K_MAX}")
+        raise RangeError(f"count comparison supports 20 <= T <= {SCAN_T_MAX:g}")
+    check_order(k, SCAN_K_MAX, RangeError, "count comparison order k")
     low = np.arange(0.05, SCAN_T_MIN + 0.005, 0.005)
     lv = z_grid(datum, low, k, ctx)[0]
     low_count = int(np.count_nonzero(np.sign(lv[:-1]) * np.sign(lv[1:]) < 0))
@@ -413,12 +410,11 @@ def contour_count(datum: SelbergDatum, selector: str, k: int, rect: Rectangle,
     ctx = ctx or DEFAULT_CONTEXT
     if selector not in ("chain", "coeff"):
         raise RangeError("selector must be 'chain' (F_k) or 'coeff' (f_k)")
-    if not (0 <= k <= SCAN_K_MAX):
-        raise RangeError(f"contour counting supports k <= {SCAN_K_MAX}")
+    check_order(k, SCAN_K_MAX, RangeError, "contour counting order k")
     if not (rect.sigma_min < rect.sigma_max and rect.t_min < rect.t_max):
         raise RangeError("degenerate rectangle")
     if rect.t_min < 1.0 or rect.t_max > SCAN_T_MAX:
-        raise RangeError("rectangle must satisfy 1 <= t_min < t_max <= 500")
+        raise RangeError(f"rectangle must satisfy 1 <= t_min < t_max <= {SCAN_T_MAX:g}")
     if rect.sigma_min < REAL_MIN + CAUCHY_RADIUS or rect.sigma_max > REAL_MAX - CAUCHY_RADIUS:
         raise RangeError("rectangle leaves the evaluation box")
 
@@ -452,8 +448,7 @@ def mirror_sum_check(datum: SelbergDatum, k: int, t: float, window: float,
     implied constant c_fit = t * excess should stay of order one.
     """
     ctx = ctx or DEFAULT_CONTEXT
-    if not (0 <= k <= SCAN_K_MAX):
-        raise RangeError(f"mirror check supports k <= {SCAN_K_MAX}")
+    check_order(k, SCAN_K_MAX, RangeError, "mirror check order k")
     # NaN passes every range comparison below, so it is refused first
     for name, val in (("t", t), ("window", window), ("c_budget", c_budget)):
         if not math.isfinite(val):
@@ -461,7 +456,7 @@ def mirror_sum_check(datum: SelbergDatum, k: int, t: float, window: float,
     if window < 5.0:
         raise RangeError("window must be at least 5")
     if t - window < SCAN_T_MIN or t + window > SCAN_T_MAX:
-        raise RangeError("window must stay inside the scannable range [5, 500]")
+        raise RangeError(f"window must stay inside the scannable range [{SCAN_T_MIN:g}, {SCAN_T_MAX:g}]")
     table = scan_zeros(datum, k, t - window, t + window, ctx)
     gam = np.array(table.gammas)
     if gam.size and float(np.min(np.abs(gam - t))) <= ctx.refine_tol:

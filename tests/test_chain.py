@@ -13,8 +13,11 @@ from hardyz.chain import (center_prefactor, chain_coeff, chain_coeff_tail,
                           coeff_stack_grid, completed_value, z_derivative,
                           z_grid)
 from hardyz.errors import (DomainError, ExcludedRegionError, PrecisionError,
-                           UnsupportedOrderError)
-from hardyz.gamma_factor import fe_logderiv, fe_logderiv_grid
+                           RangeError, UnsupportedOrderError)
+from hardyz.evaluator import l_derivative, l_derivs_grid
+from hardyz.gamma_factor import fe_logderiv, fe_logderiv_grid, theta
+from hardyz.specfun import hurwitz_zeta, polygamma
+from hardyz.zerolab import argument_S, scan_zeros
 
 from oracles import (Z_AT_18, Z_AT_100_5, Z_AT_333_3, ZETA_PRIME_ZEROS,
                      ZETA_SECOND_ZEROS, ZETA_ZEROS, fd_derivative,
@@ -208,6 +211,36 @@ def test_chain_order_cap():
     zeta = builtin("zeta")
     with pytest.raises(UnsupportedOrderError):
         chain_value(zeta, complex(2.0, 9.0), 9)
+
+
+# each function refuses an order that is not an int, bool
+# included, with the error class it uses for an out-of-range order
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda z: l_derivs_grid(z, [2 + 1j], 1.5), UnsupportedOrderError, id="l_derivs_grid"),
+    pytest.param(lambda z: l_derivative(z, 2 + 1j, 1.0), UnsupportedOrderError, id="l_derivative"),
+    pytest.param(lambda z: fe_logderiv(z, 2 + 1j, 1.5), UnsupportedOrderError, id="fe_logderiv"),
+    pytest.param(lambda z: argument_S(z, 0.5, 30.0), RangeError, id="argument_S"),
+    pytest.param(lambda z: scan_zeros(z, True, 10.0, 12.0), RangeError, id="scan_zeros"),
+    pytest.param(lambda z: z_grid(z, [20.0], True), UnsupportedOrderError, id="z_grid"),
+    pytest.param(lambda z: polygamma(True, 2 + 1j), UnsupportedOrderError, id="polygamma"),
+    pytest.param(lambda z: hurwitz_zeta(2 + 1j, deriv=True), UnsupportedOrderError, id="hurwitz_zeta"),
+])
+def test_non_integer_orders_are_refused_by_name(call, error):
+    with pytest.raises(error, match="must be an integer in 0[.][.]"):
+        call(builtin("zeta"))
+
+
+# each would warn or overflow on 0.5 + it or log Gamma at 1/2 + it (pytest
+# turns warnings into errors), or return a value outside the box
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda z: z_derivative(z, math.inf, 0), id="z_derivative_inf"),
+    pytest.param(lambda z: theta(z, 1e300), id="theta_1e300"),
+    pytest.param(lambda z: center_prefactor(z, 1e300, 0), id="center_prefactor_1e300"),
+    pytest.param(lambda z: center_prefactor(z, 1000.0, 0), id="center_prefactor_1000"),
+])
+def test_line_heights_outside_the_box_are_refused(call):
+    with pytest.raises(DomainError, match="^t "):
+        call(builtin("zeta"))
 
 
 def test_lead_and_tail_ratios_near_one_far_right():

@@ -122,7 +122,7 @@ def test_exit_code_validation_errors(capsys, tmp_path):
     assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "100", "--t1", "102",
                         "--set", "refine_tol=1e-15"])[0] == 2
     # non-finite context values and points
-    for kv in ("em_scale=nan", "em_scale=inf", "sigma_right_base=nan"):
+    for kv in ("em_scale=nan", "em_scale=inf", "scan_safety=nan"):
         assert run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "nan"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--s", "nan,20"])[0] == 2
@@ -169,7 +169,8 @@ def test_jobs_flag_is_gone():
 
 
 def test_fixed_settings_are_not_context_fields(capsys):
-    for kv in ("cauchy_radius=0.2", "cauchy_nodes=32", "abs_tol=1e-10"):
+    for kv in ("cauchy_radius=0.2", "cauchy_nodes=32", "abs_tol=1e-10", "em_bernoulli=12",
+               "sigma_right_base=6", "sigma_right_step=2"):
         rc, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])
         assert rc == 2 and "unknown context fields" in err
 

@@ -16,7 +16,7 @@ from hardyz import zerolab
 from hardyz.catalog import builtin
 from hardyz.chain import chain_grid, z_grid
 from hardyz.context import DEFAULT_CONTEXT
-from hardyz.errors import (InconclusiveContourError, ProximityError,
+from hardyz.errors import (InconclusiveContourError, PrecisionError, ProximityError,
                            RangeError, TrackingError)
 from hardyz.gamma_factor import theta
 from hardyz.zerolab import (Rectangle, _phase_walk, _refine_brackets, argument_S,
@@ -203,8 +203,20 @@ def test_count_compare_chi4():
 
 
 def test_count_validation():
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="^count comparison supports 20 <= T <= 500$"):
         count_compare(builtin("zeta"), 0, 10.0)
+
+
+def test_tracking_line_guard_passes_at_the_fixed_abscissa():
+    # the guard holds on sigma = 6 + 2k (nudged off psi's poles) for every
+    # datum and order up to the top of the scan range, and bites at sigma = 2
+    data = [builtin(n) for n in ("zeta", "chi3", "chi4", "chi5")] + [builtin("delta", experimental=True)]
+    for datum in data:
+        for k in range(zerolab.SCAN_K_MAX + 1):
+            sigma = zerolab._tracking_abscissa(datum, k)
+            zerolab._guard_tracking_line(datum, k, sigma, zerolab.SCAN_T_MAX, DEFAULT_CONTEXT)
+    with pytest.raises(PrecisionError, match="sigma = 2$"):
+        zerolab._guard_tracking_line(data[0], 0, 2.0, zerolab.SCAN_T_MAX, DEFAULT_CONTEXT)
 
 
 def test_argument_s_against_classical_identity():
@@ -301,6 +313,8 @@ def test_mirror_proximity_guard():
 def test_mirror_validation():
     with pytest.raises(RangeError):
         mirror_sum_check(builtin("zeta"), 0, 100.0, 2.0)
+    with pytest.raises(RangeError, match=r"scannable range \[5, 500\]$"):
+        mirror_sum_check(builtin("zeta"), 0, 100.0, 200.0)
     for budget in (math.nan, math.inf):
         with pytest.raises(RangeError):
             mirror_sum_check(builtin("zeta"), 0, 100.0, 10.0, c_budget=budget)
