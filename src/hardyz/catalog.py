@@ -243,7 +243,7 @@ def builtin(name: str, experimental: bool = False) -> SelbergDatum:
 
 def coefficients(datum: SelbergDatum, n_max: int) -> np.ndarray:
     """First n_max Dirichlet coefficients a(1) .. a(n_max)."""
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
     if n_max == 0:
         return np.zeros(0, dtype=np.float64)

@@ -10,14 +10,14 @@ started from the constant 1, the central facts used here are
 
     Z^(k)(t)  =  i^k F_k(1/2 + it) exp(i theta(t)),
     F_k(s)    =  sum_j  C(k, j) f_{k-j}(s) F^(j)(s),
-    f_k(s)    =  k! sum  (-1/2)^(a_1+...+a_k)
-                 prod_l  (1/a_l!) (psi^(l-1)(s) / l!)^(a_l)
+    f_k(s)    =  B_k(x_1, ..., x_k),        x_l = -psi^(l-1)(s)/2,
 
-with the sum over a_1 + 2 a_2 + ... + k a_k = k.  This is the complete
-Bell polynomial B_k(x_1, ..., x_k) in x_l = -psi^(l-1)/2, computed by the
-recurrence B_{n+1} = sum_i C(n, i) x_{i+1} B_{n-i} rather than over
-partitions.  The pure power (-psi/2)^k is the dominant term; the remainder
-Lambda_k collects the partitions with a_1 <= k - 2.  The ratios
+with B_k the complete Bell polynomial.  Both are jet products (module
+jet): the step G -> G' - (psi/2) G is H^(1/2) d/ds H^(-1/2), so f is the
+jet of H^(-1/2) over H^(-1/2), jet.exp of x, and the F stack is the
+Leibniz product jet.mul(f, (F, F', ...)).  The pure power (-psi/2)^k is the
+dominant term of f_k; the remainder Lambda_k collects the monomials of B_k
+with at most k - 2 factors x_1.  The ratios
 
     A_k = f_k / (-psi/2)^k         (-> 1 as |s| grows),
     g_k = F_k / f_k                (-> 1 rightwards)
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jet
 from .catalog import SelbergDatum
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import PrecisionError, UnsupportedOrderError, check_order
@@ -86,21 +87,6 @@ def _check_k(k: int, cap: int = _MAX_CHAIN) -> None:
     check_order(k, cap, UnsupportedOrderError, "chain order k")
 
 
-def _binomial_sum(b, a, n: int):
-    """sum_{i=0..n} C(n, i) b[n-i] a[i]: the Leibniz rule for (b a)^(n),
-    and with a[i] = x_{i+1} the Bell recurrence."""
-    return sum(math.comb(n, i) * b[n - i] * a[i] for i in range(n + 1))
-
-
-def _bell_stack(x: np.ndarray, k: int) -> np.ndarray:
-    """B_0 .. B_k in x_l = x[l-1] by B_{n+1} = sum_i C(n, i) B_{n-i} x_{i+1}."""
-    out = np.empty((k + 1,) + x.shape[1:], dtype=np.complex128)
-    out[0] = 1.0
-    for n in range(k):
-        out[n + 1] = _binomial_sum(out, x, n)
-    return out
-
-
 def coeff_stack_grid(datum: SelbergDatum, s_arr, k: int,
                      ctx: EvalContext | None = None) -> np.ndarray:
     """f_0 .. f_k over a batch of points, shape (k+1, n)."""
@@ -111,7 +97,7 @@ def coeff_stack_grid(datum: SelbergDatum, s_arr, k: int,
         # f_0 = 1 needs no psi, but the point must still lie in psi's domain
         check_psi_domain(datum, arr, ctx)
         return np.ones((1,) + arr.shape, dtype=np.complex128)
-    return _bell_stack(-0.5 * fe_logderiv_grid(datum, arr, k - 1, ctx), k)
+    return jet.exp(-0.5 * fe_logderiv_grid(datum, arr, k - 1, ctx), k)
 
 
 def chain_coeff(datum: SelbergDatum, s: complex, k: int,
@@ -125,18 +111,17 @@ def chain_coeff_tail(datum: SelbergDatum, s: complex, k: int,
                      ctx: EvalContext | None = None) -> complex:
     """Lambda_k(s) = f_k(s) - (-psi(s)/2)^k, summed directly.
 
-    With x_l = -psi^(l-1)/2, Lambda_1 = 0 and the Bell recurrence gives
-    Lambda_{n+1} = x_1 Lambda_n + sum_{i >= 1} C(n, i) x_{i+1} f_{n-i}, so
-    the dominant power x_1^k is never formed and then cancelled.
+    With x_l = -psi^(l-1)/2, f is the product of the pure-power jet
+    (1, x_1, x_1^2, ...) and the Bell jet of (0, x_2, x_3, ...).  Lambda_k is
+    row k of that product without its term x_1^k B_0, so the dominant power
+    x_1^k is never formed and then cancelled.
     """
     _check_k(k)
     ctx = ctx or DEFAULT_CONTEXT
-    x = -0.5 * fe_logderiv_grid(datum, np.array([complex(s)]), max(k - 1, 0), ctx)
-    f = _bell_stack(x, k)
-    tail = np.zeros(1, dtype=np.complex128)
-    for n in range(1, k):
-        tail = _binomial_sum(list(f[:n]) + [tail], x, n)
-    return complex(tail[0])
+    x = -0.5 * fe_logderiv_grid(datum, np.array([complex(s)]), max(k - 1, 0), ctx)[:, 0]
+    # a one-row x is zero in every later row, so its Bell jet is the pure powers
+    pure, rest = jet.exp(x[:1], k), jet.exp(np.concatenate(([0j], x[1:])), k)
+    return complex(jet.leibniz(pure, rest, k, first=1))
 
 
 def chain_grid(datum: SelbergDatum, s_arr, k: int,
@@ -144,6 +129,8 @@ def chain_grid(datum: SelbergDatum, s_arr, k: int,
     """(f stack, F stack, est errors) over a batch; stacks cover 0..k.
 
     One Cauchy circle supplies every F^(j); the f's reuse one psi stack.
+    The F stack and the estimates are the Leibniz products of f with the
+    F^(j) and of |f| with their error estimates.
     """
     _check_k(k)
     ctx = ctx or DEFAULT_CONTEXT
@@ -152,10 +139,7 @@ def chain_grid(datum: SelbergDatum, s_arr, k: int,
     check_box(arr)
     f = coeff_stack_grid(datum, arr, k, ctx)
     dv, de = l_derivs_grid(datum, arr, k, ctx)
-    big_f = np.array([_binomial_sum(f, dv, j) for j in range(k + 1)])
-    abs_f = np.abs(f)
-    est = np.array([_binomial_sum(abs_f, de, j) for j in range(k + 1)])
-    return f, big_f, est
+    return f, jet.mul(f, dv), jet.mul(np.abs(f), de)
 
 
 def chain_value(datum: SelbergDatum, s: complex, k: int,
@@ -195,15 +179,22 @@ def z_grid(datum: SelbergDatum, t_arr, k: int,
     Z^(k) is even for even k and odd for odd k; negative t reduces to |t|.
     """
     _check_k(k)
-    ctx = ctx or DEFAULT_CONTEXT
     t = np.asarray(t_arr, dtype=np.float64)
     check_line(t)
+    vals, resid = _z_stack(datum, t, k, ctx)
+    return vals[k], resid[k]
+
+
+def _z_stack(datum: SelbergDatum, t: np.ndarray, k: int,
+             ctx: EvalContext | None) -> tuple[np.ndarray, np.ndarray]:
+    """Z^(0) .. Z^(k) on a checked real grid, shape (k+1, n) each: the
+    rotations i^j F_j e^(i theta) of one chain_grid call and one theta walk."""
     tt = np.abs(t)
-    s = 0.5 + 1j * tt
-    _, big_f, _ = chain_grid(datum, s, k, ctx)
+    _, big_f, _ = chain_grid(datum, 0.5 + 1j * tt, k, ctx)
     th, _ = theta_grid(datum, tt)
-    w = (1j) ** k * big_f[k] * np.exp(1j * th)
-    parity = np.where(t < 0, (-1.0) ** k, 1.0)
+    phase = np.exp(1j * th)
+    w = np.array([(1j) ** j * big_f[j] * phase for j in range(k + 1)])
+    parity = np.where(t < 0, (-1.0) ** np.arange(k + 1)[:, None], 1.0)
     return parity * w.real, np.abs(w.imag)
 
 

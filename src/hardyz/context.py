@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 from .errors import ContextError
 
@@ -25,7 +26,7 @@ class EvalContext:
     refine_tol       zero refinement stops when the bracket is this narrow
     scan_safety      fraction of the mean zero gap used as the scan step
 
-    Every float field must be finite.
+    Every float field must be finite, and em_cutoff an integer.
     """
 
     em_cutoff: int = 20
@@ -39,6 +40,8 @@ class EvalContext:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ContextError(f"{f.name} must be finite, got {value}")
+        if isinstance(self.em_cutoff, bool) or not isinstance(self.em_cutoff, Integral):
+            raise ContextError(f"em_cutoff must be an integer, got {self.em_cutoff!r}")
         if self.em_cutoff < 10:
             raise ContextError("em_cutoff must be at least 10")
         if self.em_scale < 1.0:

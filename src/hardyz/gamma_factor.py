@@ -205,4 +205,7 @@ def theta_asymptotic(datum: SelbergDatum, t: float) -> float:
     c0 = 0.5 * float(np.sum(_gamma_args(datum, np.float64(0.5)) - 0.5))
     if datum.omega < 0:
         c0 -= 0.5  # -arg(omega)/(2 pi)
-    return (0.5 * d / math.pi) * t * math.log(t / (2.0 * math.pi)) + c1 * t + c0
+    value = (0.5 * d / math.pi) * t * math.log(t / (2.0 * math.pi)) + c1 * t + c0
+    if not math.isfinite(value):
+        raise RangeError(f"asymptotic counting term overflows at t = {t}")
+    return value

@@ -7,7 +7,8 @@ Everything here is built from three classical tools:
   converges to machine accuracy; one walk (_log_gamma_rows) serves log
   Gamma and every psi^(m) at once,
 * Euler-Maclaurin summation for the Hurwitz zeta function, differentiated
-  term by term in s for the first few s-derivatives, and
+  term by term in s for the first few s-derivatives by the Leibniz rule of
+  the jet module, and
 * a table of integer powers m^(-s) (power_tables) that takes an exp at the
   primes only: n^(-s) is completely multiplicative, so every other power is
   the product of two earlier ones.  The evaluator's Dirichlet sums (zeta,
@@ -28,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import jet
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import DomainError, PoleError, UnsupportedOrderError, check_order
 
@@ -296,9 +298,11 @@ def _direct_sum(s: np.ndarray, a: float, j: int, n_terms: int) -> tuple[np.ndarr
 
 def _em_finish(s: np.ndarray, main: np.ndarray, main_abs: np.ndarray, big: np.ndarray, j: int,
                sub_pole: bool, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Add the Euler-Maclaurin tail, half term and _EM_BERNOULLI_PAIRS
-    Bernoulli corrections to the direct sums main, each correction
-    multiplied by scale if given.
+    """Add the j-th s-derivatives of the Euler-Maclaurin tail, half term and
+    _EM_BERNOULLI_PAIRS Bernoulli corrections to the direct sums main, each
+    correction multiplied by scale if given.  The tail is the Leibniz
+    product (jet.leibniz) of the jets of big^(1-s) and 1/(s-1), and each
+    Bernoulli term that of the rising factorial's jet and ((-log big)^i).
 
     big holds each point's N + a, the first abscissa left out of its direct
     sum, and main_abs the sum of its term moduli.  Returns (value, error
@@ -310,18 +314,18 @@ def _em_finish(s: np.ndarray, main: np.ndarray, main_abs: np.ndarray, big: np.nd
     """
     lb = np.log(big)
     decay = np.exp(-s * lb)  # big^(-s)
+    powers = [(-lb) ** i for i in range(j + 1)]  # the jet of big^(-s) over big^(-s)
 
-    # d^j/ds^j of big^(1-s) / (s-1), Leibniz over the two factors.  With
-    # sub_pole the pole part d^j/ds^j (s-1)^(-1) is subtracted, which leaves
-    # (big^(1-s) - 1)/(s-1), entire in s; near its removed singularity the
-    # difference cancels, so there the Taylor series in (1-s) replaces it
-    # and the direct form runs on a stand-in s - 1 = 1.
+    # d^j/ds^j of big^(1-s) / (s-1), the Leibniz product of the two jets.
+    # With sub_pole the pole part d^j/ds^j (s-1)^(-1) is subtracted, which
+    # leaves (big^(1-s) - 1)/(s-1), entire in s; near its removed
+    # singularity the difference cancels, so there the Taylor series in
+    # (1-s) replaces it and the direct form runs on a stand-in s - 1 = 1.
     sm1 = s - 1.0
     near = np.abs(-sm1 * lb) <= 4.0 if sub_pole else np.zeros(s.shape, dtype=bool)
     sm1 = np.where(near, 1.0, sm1)
-    tail = sum(math.comb(j, i) * ((-lb) ** i * big * decay)
-               * ((-1.0) ** (j - i) * math.factorial(j - i) * sm1 ** (-(j - i) - 1))
-               for i in range(j + 1))
+    tail = jet.leibniz([p * big * decay for p in powers],
+                       [(-1.0) ** m * math.factorial(m) * sm1 ** (-m - 1) for m in range(j + 1)], j)
     if sub_pole:
         tail -= (-1.0) ** j * math.factorial(j) * sm1 ** (-j - 1)
     if np.any(near):
@@ -333,26 +337,19 @@ def _em_finish(s: np.ndarray, main: np.ndarray, main_abs: np.ndarray, big: np.nd
             acc = acc * u + c
         tail[near] = -((-1.0) ** j) * acc
 
-    half = 0.5 * (-lb) ** j * decay
+    half = 0.5 * powers[j] * decay
 
-    # Bernoulli corrections B_2i/(2i)! d^j/ds^j [(s)_{2i-1} big^(1-s-2i)],
-    # Leibniz against (-lb)^(j-m).  The stack holds the s-derivatives
-    # P^(m), m = 0..j, of the rising factorial P = (s)_{2i-1} =
-    # s (s+1) ... (s+2i-2): it starts from (s)_1 = s, whose stack is
-    # (s, 1, 0, ...), and each further term multiplies P by (s+2i-3)(s+2i-2)
-    # through (P (s+c))^(m) = (s+c) P^(m) + m P^(m-1).
-    stack = np.zeros((j + 1,) + s.shape, dtype=np.complex128)
-    stack[0] = s
-    stack[1:2] = 1.0
-    orders = np.arange(1, j + 1)[:, None]
-    weights = np.array([math.comb(j, m) * (-lb) ** (j - m) for m in range(j + 1)])
+    # Bernoulli corrections B_2i/(2i)! d^j/ds^j [(s)_{2i-1} big^(1-s-2i)]:
+    # big^(1-s-2i) times the Leibniz product of the jet of the rising
+    # factorial (s)_{2i-1} = s (s+1) ... (s+2i-2) and powers.  The rising
+    # jet starts from the constant 1, (1, 0, ..., 0), and each term
+    # multiplies it by the jets (s+c, 1) of its new factors s+c.
+    rising = np.eye(j + 1, 1)
     bern = np.zeros_like(s)
     for i in range(1, _EM_BERNOULLI_PAIRS + 1):
-        if i > 1:
-            for c in (2 * i - 3, 2 * i - 2):
-                stack[1:] = (s + c) * stack[1:] + orders * stack[:-1]
-                stack[0] *= s + c
-        last = (_B_EVEN[i] / math.factorial(2 * i)) * (weights * stack).sum(axis=0) \
+        for c in range(max(2 * i - 3, 0), 2 * i - 1):
+            rising = jet.mul(rising, [s + c, 1.0])
+        last = (_B_EVEN[i] / math.factorial(2 * i)) * jet.leibniz(rising, powers, j) \
             * decay * big ** (1 - 2 * i)
         bern += last
     if scale is not None:
@@ -389,7 +386,7 @@ def hurwitz_zeta(s, a: float = 1.0, deriv: int = 0, ctx: EvalContext | None = No
     """
     ctx = ctx or DEFAULT_CONTEXT
     check_order(deriv, _MAX_HURWITZ_DERIV, UnsupportedOrderError, "hurwitz_zeta deriv")
-    if not (0.0 < a <= 1.0):
+    if isinstance(a, (bool, np.bool_)) or not (0.0 < a <= 1.0):
         raise DomainError(f"shift parameter a must lie in (0, 1], got {a}")
     arr, scalar = _as_complex(s)
     if not sub_pole and np.any(np.abs(arr - 1.0) < 1e-8):

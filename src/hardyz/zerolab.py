@@ -30,7 +30,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .catalog import SelbergDatum
-from .chain import chain_grid, coeff_stack_grid, z_grid
+from .chain import _z_stack, chain_grid, coeff_stack_grid, z_grid
 from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import (InconclusiveContourError, PrecisionError, ProximityError,
                      RangeError, TrackingError, check_order)
@@ -461,8 +461,7 @@ def mirror_sum_check(datum: SelbergDatum, k: int, t: float, window: float,
     gam = np.array(table.gammas)
     if gam.size and float(np.min(np.abs(gam - t))) <= ctx.refine_tol:
         raise ProximityError(f"t = {t} coincides with a zero of Z^({k})")
-    vals = [z_grid(datum, np.array([t]), k + j, ctx)[0][0] for j in range(3)]
-    z0, z1, z2 = vals
+    z0, z1, z2 = _z_stack(datum, np.array([float(t)]), k + 2, ctx)[0][k:, 0]
     lhs = z2 / z0 - (z1 / z0) ** 2
     truncated = float(np.sum(1.0 / (t - gam) ** 2)) if gam.size else 0.0
     density = theta(datum, t).theta_prime / math.pi

@@ -130,8 +130,9 @@ def test_tau_matches_plain_convolution():
 def test_coefficients_validation():
     zeta = builtin("zeta")
     assert coefficients(zeta, 0).shape == (0,)
-    with pytest.raises(DomainError):
-        coefficients(zeta, -1)
+    for bad in (-1, True):
+        with pytest.raises(DomainError):
+            coefficients(zeta, bad)
     delta = builtin("delta", experimental=True)
     with pytest.raises(PrecisionError):
         coefficients(delta, 200_000)

@@ -120,6 +120,15 @@ def test_context_rejects_non_finite_fields():
                 DEFAULT_CONTEXT.with_overrides(**{name: bad})
 
 
+def test_context_em_cutoff_must_be_an_integer():
+    # a float cutoff was truncated by series_terms and made a separate
+    # context with the same bits; bool is an int subclass
+    for bad in (20.5, 20.0, True):
+        with pytest.raises(ContextError):
+            DEFAULT_CONTEXT.with_overrides(em_cutoff=bad)
+    assert DEFAULT_CONTEXT.with_overrides(em_cutoff=np.int64(30)).em_cutoff == 30
+
+
 def test_cusp_series_against_truncated_sum():
     delta = builtin("delta", experimental=True)
     s = complex(3.0, 0.0)

@@ -75,8 +75,9 @@ def test_theta_asymptotic_envelope():
 
 
 def test_theta_asymptotic_range_guard():
-    with pytest.raises(RangeError):
-        theta_asymptotic(builtin("zeta"), 5.0)
+    for bad in (5.0, 1e307):
+        with pytest.raises(RangeError):
+            theta_asymptotic(builtin("zeta"), bad)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             theta_asymptotic(builtin("zeta"), bad)

@@ -237,6 +237,8 @@ def test_hurwitz_validation():
         hurwitz_zeta(np.array([complex(2.0, 0.0)]), a=1.5)
     with pytest.raises(DomainError):
         hurwitz_zeta(np.array([complex(2.0, 0.0)]), a=0.0)
+    with pytest.raises(DomainError):
+        hurwitz_zeta(complex(2.0, 1.0), a=True)
     with pytest.raises(UnsupportedOrderError):
         hurwitz_zeta(np.array([complex(2.0, 0.0)]), deriv=5)
     with pytest.raises(PoleError):
