@@ -138,7 +138,7 @@ def chain_grid(datum: SelbergDatum, s_arr, k: int,
     # the box first: psi far outside it is refused with a less useful message
     check_box(arr)
     f = coeff_stack_grid(datum, arr, k, ctx)
-    dv, de = l_derivs_grid(datum, arr, k, ctx)
+    dv, de = l_derivs_grid(datum, arr, k)
     return f, jet.mul(f, dv), jet.mul(np.abs(f), de)
 
 

@@ -20,7 +20,9 @@ integrands:
     F^(j)(s) = j! / (M rho^j) * sum_m F(s + rho e^(i phi_m)) e^(-i j phi_m).
 
 One circle of values serves every order up to the requested maximum, which
-the derivative-chain module relies on.
+the derivative-chain module relies on; the centres and their nodes are
+evaluated in one pass.  Every L-value sizes its own series from its point
+alone (specfun.series_terms).
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import SelbergDatum
-from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import DomainError, GeometryError, PoleError, UnsupportedOrderError, check_order
 from .gamma_factor import REAL_MAX, REAL_MIN, check_box, fe_factor
-from .specfun import _em_finish, power_tables, series_terms
+from .specfun import _EM_CUTOFF, _em_finish, power_tables, series_terms
 
 CAUCHY_RADIUS = 0.25
 CAUCHY_NODES = 64
@@ -56,8 +57,7 @@ def _check_pole(datum: SelbergDatum, arr: np.ndarray) -> None:
         raise PoleError(f"{datum.name} has a pole at s = 1")
 
 
-def _dirichlet_grid(table: tuple[float, ...], arr: np.ndarray,
-                    ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:
+def _dirichlet_grid(table: tuple[float, ...], arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F(s) = sum_m table[m mod q] m^(-s), continued by Euler-Maclaurin per
     residue class: with the direct sum over m <= q N,
 
@@ -73,7 +73,7 @@ def _dirichlet_grid(table: tuple[float, ...], arr: np.ndarray,
     # needs no other rows
     units_only = all(math.gcd(a, q) == 1 for a in residues)
     flat = arr.ravel()
-    lengths = series_terms(flat.imag, ctx)
+    lengths = series_terms(flat.imag)
     main = np.empty((len(residues), flat.size), dtype=np.complex128)
     main_abs = np.empty(main.shape, dtype=np.float64)
     for idx, classes, tab in power_tables(flat, lengths, q, units_only):
@@ -98,8 +98,8 @@ def _dirichlet_grid(table: tuple[float, ...], arr: np.ndarray,
     return vals.reshape(arr.shape), errs.reshape(arr.shape)
 
 
-def _cusp_series_grid(datum: SelbergDatum, arr: np.ndarray, ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:
-    lengths = series_terms(arr.imag, ctx, floor=16 * ctx.em_cutoff)
+def _cusp_series_grid(datum: SelbergDatum, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lengths = series_terms(arr.imag, floor=16 * _EM_CUTOFF)
     vals = np.empty_like(arr)
     for idx, _, tab in power_tables(arr, lengths):
         vals[idx] = (tab * datum.coefficient_block(tab.shape[1])).sum(axis=1)
@@ -116,25 +116,24 @@ def _cusp_series_grid(datum: SelbergDatum, arr: np.ndarray, ctx: EvalContext) ->
     return vals, errs
 
 
-def l_value_grid(datum: SelbergDatum, s_arr, ctx: EvalContext | None = None) -> tuple[np.ndarray, np.ndarray]:
+def l_value_grid(datum: SelbergDatum, s_arr) -> tuple[np.ndarray, np.ndarray]:
     """(values, error estimates) of F over an array of points."""
-    ctx = ctx or DEFAULT_CONTEXT
     arr = np.asarray(s_arr, dtype=np.complex128)
     check_box(arr)
     _check_pole(datum, arr)
     kind = datum.provider.kind
     if kind in ("constant-one", "periodic"):
-        return _dirichlet_grid(datum.provider.table, arr, ctx)
+        return _dirichlet_grid(datum.provider.table, arr)
     if kind == "cusp-form":
         vals = np.empty_like(arr)
         errs = np.empty(arr.shape, dtype=np.float64)
         right = arr.real >= 0.5
         if right.any():
-            vals[right], errs[right] = _cusp_series_grid(datum, arr[right], ctx)
+            vals[right], errs[right] = _cusp_series_grid(datum, arr[right])
         if (~right).any():
             # reflect through the functional equation
             pts = arr[~right]
-            mirror, merr = _cusp_series_grid(datum, 1.0 - pts, ctx)
+            mirror, merr = _cusp_series_grid(datum, 1.0 - pts)
             hvals = fe_factor(datum, pts)
             vals[~right] = hvals * mirror
             errs[~right] = np.abs(hvals) * merr
@@ -142,30 +141,28 @@ def l_value_grid(datum: SelbergDatum, s_arr, ctx: EvalContext | None = None) -> 
     raise DomainError(f"no evaluation backend for provider kind {kind!r}")
 
 
-def l_value(datum: SelbergDatum, s: complex, ctx: EvalContext | None = None) -> LValue:
+def l_value(datum: SelbergDatum, s: complex) -> LValue:
     """F(s) with an error estimate."""
-    v, e = l_value_grid(datum, np.array([complex(s)]), ctx)
+    v, e = l_value_grid(datum, np.array([complex(s)]))
     return LValue(complex(s), complex(v[0]), float(e[0]))
 
 
-def l_derivs_grid(datum: SelbergDatum, s_arr, j_max: int,
-                  ctx: EvalContext | None = None) -> tuple[np.ndarray, np.ndarray]:
+def l_derivs_grid(datum: SelbergDatum, s_arr, j_max: int) -> tuple[np.ndarray, np.ndarray]:
     """F^(j) for j = 0..j_max over a batch, sharing one Cauchy circle.
 
     Returns (values, est_errors) with shape (j_max+1, n).  The circle must
-    stay inside the evaluation box and away from the pole at s = 1.
+    stay inside the evaluation box and away from the pole at s = 1.  The
+    centres and their nodes take one l_value_grid pass.
     """
-    ctx = ctx or DEFAULT_CONTEXT
     check_order(j_max, _MAX_DERIV, UnsupportedOrderError, "derivative order")
     arr = np.asarray(s_arr, dtype=np.complex128)
-    vals0, errs0 = l_value_grid(datum, arr, ctx)
-    out = np.empty((j_max + 1,) + arr.shape, dtype=np.complex128)
-    est = np.empty((j_max + 1,) + arr.shape, dtype=np.float64)
-    out[0] = vals0
-    est[0] = errs0
     if j_max == 0:
-        return out, est
+        vals, errs = l_value_grid(datum, arr)
+        return vals[None], errs[None]
 
+    # a centre's own box or pole error comes before the circle's
+    check_box(arr)
+    _check_pole(datum, arr)
     rho = CAUCHY_RADIUS
     m_nodes = CAUCHY_NODES
     if np.any(arr.real - rho < REAL_MIN) or np.any(arr.real + rho > REAL_MAX):
@@ -176,9 +173,13 @@ def l_derivs_grid(datum: SelbergDatum, s_arr, j_max: int,
     phi = 2.0 * math.pi * np.arange(m_nodes) / m_nodes
     ring = rho * np.exp(1j * phi)                      # (M,)
     nodes = arr[None, :] + ring[:, None]               # (M, n)
-    nv, ne = l_value_grid(datum, nodes.ravel(), ctx)
-    nv = nv.reshape(m_nodes, -1)
-    ne = ne.reshape(m_nodes, -1)
+    vals, errs = l_value_grid(datum, np.concatenate([arr, nodes.ravel()]))
+    nv = vals[arr.size:].reshape(m_nodes, -1)
+    ne = errs[arr.size:].reshape(m_nodes, -1)
+    out = np.empty((j_max + 1,) + arr.shape, dtype=np.complex128)
+    est = np.empty((j_max + 1,) + arr.shape, dtype=np.float64)
+    out[0] = vals[:arr.size]
+    est[0] = errs[:arr.size]
     mean_err = ne.mean(axis=0)
     for j in range(1, j_max + 1):
         w = np.exp(-1j * j * phi) / m_nodes            # (M,)
@@ -189,8 +190,7 @@ def l_derivs_grid(datum: SelbergDatum, s_arr, j_max: int,
     return out, est
 
 
-def l_derivative(datum: SelbergDatum, s: complex, order: int,
-                 ctx: EvalContext | None = None) -> LValue:
+def l_derivative(datum: SelbergDatum, s: complex, order: int) -> LValue:
     """F^(order)(s) by Cauchy-circle differentiation."""
-    vals, errs = l_derivs_grid(datum, np.array([complex(s)]), order, ctx)
+    vals, errs = l_derivs_grid(datum, np.array([complex(s)]), order)
     return LValue(complex(s), complex(vals[order, 0]), float(errs[order, 0]))

@@ -30,7 +30,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jet
-from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import DomainError, PoleError, UnsupportedOrderError, check_order
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -56,6 +55,8 @@ _CHUNK_BUDGET = 4_000_000
 # direct-sum lengths above the floor are rounded up to a multiple of this,
 # and each distinct length is one direct-sum pass
 _TIER = 32
+# default floor of a direct-sum length; above it a point takes |Im s| terms
+_EM_CUTOFF = 20
 # rows x points per integer-power table chunk: 2^17 complex is 2 MB; chunks
 # of 2^15 to 2^18 timed alike on 2000-point batches
 _TABLE_ELEMS = 1 << 17
@@ -171,15 +172,14 @@ def polygamma(m: int, z):
     return out[0] if scalar else out
 
 
-def series_terms(im, ctx: EvalContext, floor: int = 0) -> np.ndarray:
-    """Direct-sum length of each point: ctx.em_terms(|Im s|), at least floor,
-    rounded up to base + a multiple of _TIER with base = max(em_cutoff,
-    floor).  Each length follows its own point only, so a value never
-    depends on the batch it is computed in.  A length above _CHUNK_BUDGET is
-    refused before anything is allocated."""
-    base = max(ctx.em_cutoff, floor)
-    excess = np.maximum(np.ceil(ctx.em_scale * np.abs(im)) - base, 0.0)
-    lengths = base + _TIER * np.ceil(excess / _TIER)
+def series_terms(im, floor: int = _EM_CUTOFF) -> np.ndarray:
+    """Direct-sum length of each point: N = max(floor, ceil|Im s|), with the
+    excess over floor rounded up to a multiple of _TIER.  Each length follows
+    its own point only, so a value never depends on the batch it is computed
+    in.  A length above _CHUNK_BUDGET is refused before anything is
+    allocated."""
+    excess = np.maximum(np.ceil(np.abs(im)) - floor, 0.0)
+    lengths = floor + _TIER * np.ceil(excess / _TIER)
     if np.any(lengths > _CHUNK_BUDGET):
         raise DomainError(f"a direct sum of {lengths.max():.0f} terms exceeds the "
                           f"{_CHUNK_BUDGET}-term limit (|Im s| = {np.abs(im).max()})")
@@ -364,8 +364,8 @@ def _em_finish(s: np.ndarray, main: np.ndarray, main_abs: np.ndarray, big: np.nd
     return value, est
 
 
-def hurwitz_zeta(s, a: float = 1.0, deriv: int = 0, ctx: EvalContext | None = None,
-                 with_error: bool = False, sub_pole: bool = False):
+def hurwitz_zeta(s, a: float = 1.0, deriv: int = 0, *, with_error: bool = False,
+                 sub_pole: bool = False):
     """d^deriv/ds^deriv of the Hurwitz zeta function zeta(s, a).
 
     The public general-shift function: a real shift a has no multiplicative
@@ -378,13 +378,12 @@ def hurwitz_zeta(s, a: float = 1.0, deriv: int = 0, ctx: EvalContext | None = No
     pole part d^deriv/ds^deriv 1/(s-1) is subtracted, giving an entire
     function that is valid at s = 1 as well.
 
-    Each point sums series_terms(Im s) direct terms, em_scale * |Im s|
-    rounded up to a tier of _TIER terms above em_cutoff, then the 12
-    Bernoulli corrections B_2 .. B_24, so its value is a function of
-    (s, a, deriv, ctx) alone.  The error estimate is four times the last
+    Each point sums series_terms(Im s) direct terms, |Im s| rounded up to a
+    tier of _TIER terms above _EM_CUTOFF = 20, then the 12 Bernoulli
+    corrections B_2 .. B_24, so its value is a function of (s, a, deriv)
+    alone.  The error estimate is four times the last
     Bernoulli correction plus a rounding allowance for the direct sum.
     """
-    ctx = ctx or DEFAULT_CONTEXT
     check_order(deriv, _MAX_HURWITZ_DERIV, UnsupportedOrderError, "hurwitz_zeta deriv")
     if isinstance(a, (bool, np.bool_)) or not (0.0 < a <= 1.0):
         raise DomainError(f"shift parameter a must lie in (0, 1], got {a}")
@@ -393,7 +392,7 @@ def hurwitz_zeta(s, a: float = 1.0, deriv: int = 0, ctx: EvalContext | None = No
         raise PoleError("hurwitz_zeta pole at s = 1")
 
     flat = arr.ravel()
-    lengths = series_terms(flat.imag, ctx)
+    lengths = series_terms(flat.imag)
     main = np.empty_like(flat)
     main_abs = np.empty(flat.shape, dtype=np.float64)
     for idx, n in tier_chunks(lengths):

@@ -114,15 +114,18 @@ def test_exit_code_validation_errors(capsys, tmp_path):
     assert run(capsys, ["zeros", "--datum", "zeta", "--k", "0",
                         "--t0", "1", "--t1", "30"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
-                        "--set", "em_scale=-1"])[0] == 2
+                        "--set", "scan_safety=-1"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
                         "--set", "nonsense"])[0] == 2
     # a tolerance finer than the float spacing near t = 500 is refused, not
     # refined forever
     assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "100", "--t1", "102",
                         "--set", "refine_tol=1e-15"])[0] == 2
+    # a scan step below the float spacing near t = 10 would never advance
+    assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
+                        "--set", "scan_safety=1e-16"])[0] == 2
     # non-finite context values and points
-    for kv in ("em_scale=nan", "em_scale=inf", "scan_safety=nan"):
+    for kv in ("refine_tol=nan", "exclusion_radius=inf", "scan_safety=nan"):
         assert run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "nan"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--s", "nan,20"])[0] == 2
@@ -139,7 +142,7 @@ def test_exit_code_validation_errors(capsys, tmp_path):
         assert rc == 2 and err.startswith(f"error: {name} must be finite"), err
     # malformed values are reported, not raised as tracebacks
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
-                        "--set", "em_cutoff=abc"])[0] == 2
+                        "--set", "scan_safety=abc"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--s", "1,2,3"])[0] == 2
     for step in ("0", "nan"):
         assert run(capsys, ["sample", "--datum", "zeta", "--t0", "14", "--t1", "15",
@@ -170,7 +173,7 @@ def test_jobs_flag_is_gone():
 
 def test_fixed_settings_are_not_context_fields(capsys):
     for kv in ("cauchy_radius=0.2", "cauchy_nodes=32", "abs_tol=1e-10", "em_bernoulli=12",
-               "sigma_right_base=6", "sigma_right_step=2"):
+               "sigma_right_base=6", "sigma_right_step=2", "em_cutoff=20", "em_scale=1"):
         rc, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])
         assert rc == 2 and "unknown context fields" in err
 
@@ -184,21 +187,21 @@ def test_exit_code_inconclusive(capsys):
 
 def test_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "policy.cfg"
-    cfg.write_text("em_scale = 4.0  # denser tail\nem_cutoff = 30\n")
+    cfg.write_text("scan_safety = 0.125  # finer scan\nrefine_tol = 1e-10\n")
     rc, out, _ = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0",
                               "--config", str(cfg)])
     assert rc == 0
     # --set wins over the file; invalid merged value fails cleanly
     rc2, _, _ = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0",
-                             "--config", str(cfg), "--set", "em_cutoff=10"])
+                             "--config", str(cfg), "--set", "refine_tol=1e-11"])
     assert rc2 == 0
     rc3, _, _ = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0",
-                             "--config", str(cfg), "--set", "em_scale=0.1"])
+                             "--config", str(cfg), "--set", "scan_safety=0.9"])
     assert rc3 == 2
     bad = tmp_path / "bad.cfg"
-    bad.write_text("em_scale = fast\n")
+    bad.write_text("scan_safety = fast\n")
     rc4, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0", "--config", str(bad)])
-    assert rc4 == 2 and "em_scale" in err
+    assert rc4 == 2 and "scan_safety" in err
 
 
 def test_repeat_invocations_byte_identical(capsys):

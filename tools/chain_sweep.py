@@ -12,8 +12,12 @@ for the four data in that order):
 * rows 0..8 of the f, F and est stacks of chain_grid(datum, s, 8),
 * chain_coeff_tail(datum, s, k) for k = 0..8 on the first 100 points,
 * the values and error estimates of l_value_grid,
+* rows 0..8 of the values and error estimates of l_derivs_grid(datum, s, 8),
 
-then, on the points of zeta, the values and error estimates of
+then the rows Z^(0..8) and their imaginary residuals from one
+chain._z_stack call per datum on 800 seeded t in [5, 480] (default_rng(2028),
+one generator for the four data in the same order), and, on the points of
+zeta, the values and error estimates of
 hurwitz_zeta for deriv 0..4, a in {1, 1/4, 3/4, 1/3}, with and without
 sub_pole.
 """
@@ -39,6 +43,11 @@ def sweep_points() -> dict[str, np.ndarray]:
             for name in DATA}
 
 
+def sweep_heights() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(2028)
+    return {name: rng.uniform(5.0, 480.0, POINTS) for name in DATA}
+
+
 def digest(name: str, arr) -> None:
     data = np.ascontiguousarray(arr)
     print(f"{name} | {data.dtype} {data.shape} | {hashlib.sha256(data.tobytes()).hexdigest()}",
@@ -51,8 +60,8 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
     from hardyz.catalog import builtin
-    from hardyz.chain import chain_coeff_tail, chain_grid
-    from hardyz.evaluator import l_value_grid
+    from hardyz.chain import _z_stack, chain_coeff_tail, chain_grid
+    from hardyz.evaluator import l_derivs_grid, l_value_grid
     from hardyz.specfun import hurwitz_zeta
 
     points = sweep_points()
@@ -67,6 +76,13 @@ def main(argv: list[str]) -> int:
         vals, errs = l_value_grid(datum, s)
         digest(f"{name} l_value_grid value", vals)
         digest(f"{name} l_value_grid est", errs)
+        for label, stack in zip(("value", "est"), l_derivs_grid(datum, s, K)):
+            for j in range(K + 1):
+                digest(f"{name} l_derivs_grid {label}[{j}]", stack[j])
+    for name, t in sweep_heights().items():
+        for label, stack in zip(("Z", "resid"), _z_stack(builtin(name), t, K, None)):
+            for j in range(K + 1):
+                digest(f"{name} _z_stack {label}[{j}]", stack[j])
     for label, a in SHIFTS:
         for deriv in range(5):
             for sub_pole in (False, True):
