@@ -44,7 +44,6 @@ import numpy as np
 
 from . import jet
 from .catalog import SelbergDatum
-from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import PrecisionError, UnsupportedOrderError, check_order
 from .evaluator import l_derivs_grid
 from .gamma_factor import (_log_gamma_sum, check_box, check_line, check_psi_domain,
@@ -87,28 +86,24 @@ def _check_k(k: int, cap: int = _MAX_CHAIN) -> None:
     check_order(k, cap, UnsupportedOrderError, "chain order k")
 
 
-def coeff_stack_grid(datum: SelbergDatum, s_arr, k: int,
-                     ctx: EvalContext | None = None) -> np.ndarray:
+def coeff_stack_grid(datum: SelbergDatum, s_arr, k: int) -> np.ndarray:
     """f_0 .. f_k over a batch of points, shape (k+1, n)."""
     _check_k(k)
-    ctx = ctx or DEFAULT_CONTEXT
     arr = np.asarray(s_arr, dtype=np.complex128)
     if k == 0:
         # f_0 = 1 needs no psi, but the point must still lie in psi's domain
-        check_psi_domain(datum, arr, ctx)
+        check_psi_domain(datum, arr)
         return np.ones((1,) + arr.shape, dtype=np.complex128)
-    return jet.exp(-0.5 * fe_logderiv_grid(datum, arr, k - 1, ctx), k)
+    return jet.exp(-0.5 * fe_logderiv_grid(datum, arr, k - 1), k)
 
 
-def chain_coeff(datum: SelbergDatum, s: complex, k: int,
-                ctx: EvalContext | None = None) -> complex:
+def chain_coeff(datum: SelbergDatum, s: complex, k: int) -> complex:
     """f_k(s), the chain iterate started from 1."""
-    stack = coeff_stack_grid(datum, np.array([complex(s)]), k, ctx)
+    stack = coeff_stack_grid(datum, np.array([complex(s)]), k)
     return complex(stack[k, 0])
 
 
-def chain_coeff_tail(datum: SelbergDatum, s: complex, k: int,
-                     ctx: EvalContext | None = None) -> complex:
+def chain_coeff_tail(datum: SelbergDatum, s: complex, k: int) -> complex:
     """Lambda_k(s) = f_k(s) - (-psi(s)/2)^k, summed directly.
 
     With x_l = -psi^(l-1)/2, f is the product of the pure-power jet
@@ -117,15 +112,13 @@ def chain_coeff_tail(datum: SelbergDatum, s: complex, k: int,
     x_1^k is never formed and then cancelled.
     """
     _check_k(k)
-    ctx = ctx or DEFAULT_CONTEXT
-    x = -0.5 * fe_logderiv_grid(datum, np.array([complex(s)]), max(k - 1, 0), ctx)[:, 0]
+    x = -0.5 * fe_logderiv_grid(datum, np.array([complex(s)]), max(k - 1, 0))[:, 0]
     # a one-row x is zero in every later row, so its Bell jet is the pure powers
     pure, rest = jet.exp(x[:1], k), jet.exp(np.concatenate(([0j], x[1:])), k)
     return complex(jet.leibniz(pure, rest, k, first=1))
 
 
-def chain_grid(datum: SelbergDatum, s_arr, k: int,
-               ctx: EvalContext | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def chain_grid(datum: SelbergDatum, s_arr, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(f stack, F stack, est errors) over a batch; stacks cover 0..k.
 
     One Cauchy circle supplies every F^(j); the f's reuse one psi stack.
@@ -133,21 +126,18 @@ def chain_grid(datum: SelbergDatum, s_arr, k: int,
     F^(j) and of |f| with their error estimates.
     """
     _check_k(k)
-    ctx = ctx or DEFAULT_CONTEXT
     arr = np.asarray(s_arr, dtype=np.complex128)
     # the box first: psi far outside it is refused with a less useful message
     check_box(arr)
-    f = coeff_stack_grid(datum, arr, k, ctx)
+    f = coeff_stack_grid(datum, arr, k)
     dv, de = l_derivs_grid(datum, arr, k)
     return f, jet.mul(f, dv), jet.mul(np.abs(f), de)
 
 
-def chain_value(datum: SelbergDatum, s: complex, k: int,
-                ctx: EvalContext | None = None) -> ChainValue:
+def chain_value(datum: SelbergDatum, s: complex, k: int) -> ChainValue:
     """F_k(s) with the structural ratios A_k and g_k."""
-    ctx = ctx or DEFAULT_CONTEXT
     arr = np.array([complex(s)])
-    f, big_f, est = chain_grid(datum, arr, k, ctx)
+    f, big_f, est = chain_grid(datum, arr, k)
     fk = complex(f[k, 0])
     val = complex(big_f[k, 0])
     lead_ratio = None
@@ -161,19 +151,16 @@ def chain_value(datum: SelbergDatum, s: complex, k: int,
     return ChainValue(complex(s), int(k), fk, val, lead_ratio, tail_ratio, float(est[k, 0]))
 
 
-def chain_derivative(datum: SelbergDatum, s: complex, k: int,
-                     ctx: EvalContext | None = None) -> complex:
+def chain_derivative(datum: SelbergDatum, s: complex, k: int) -> complex:
     """F_k'(s) through the chain identity F_k' = F_{k+1} + (psi/2) F_k."""
     _check_k(k, cap=_MAX_CHAIN - 1)
-    ctx = ctx or DEFAULT_CONTEXT
     arr = np.array([complex(s)])
-    f, big_f, _ = chain_grid(datum, arr, k + 1, ctx)
+    f, big_f, _ = chain_grid(datum, arr, k + 1)
     psi0 = -2.0 * complex(f[1, 0])
     return complex(big_f[k + 1, 0]) + 0.5 * psi0 * complex(big_f[k, 0])
 
 
-def z_grid(datum: SelbergDatum, t_arr, k: int,
-           ctx: EvalContext | None = None) -> tuple[np.ndarray, np.ndarray]:
+def z_grid(datum: SelbergDatum, t_arr, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Z^(k) over a real grid: (values, imaginary residuals).
 
     Z^(k) is even for even k and odd for odd k; negative t reduces to |t|.
@@ -181,16 +168,15 @@ def z_grid(datum: SelbergDatum, t_arr, k: int,
     _check_k(k)
     t = np.asarray(t_arr, dtype=np.float64)
     check_line(t)
-    vals, resid = _z_stack(datum, t, k, ctx)
+    vals, resid = _z_stack(datum, t, k)
     return vals[k], resid[k]
 
 
-def _z_stack(datum: SelbergDatum, t: np.ndarray, k: int,
-             ctx: EvalContext | None) -> tuple[np.ndarray, np.ndarray]:
+def _z_stack(datum: SelbergDatum, t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Z^(0) .. Z^(k) on a checked real grid, shape (k+1, n) each: the
     rotations i^j F_j e^(i theta) of one chain_grid call and one theta walk."""
     tt = np.abs(t)
-    _, big_f, _ = chain_grid(datum, 0.5 + 1j * tt, k, ctx)
+    _, big_f, _ = chain_grid(datum, 0.5 + 1j * tt, k)
     th, _ = theta_grid(datum, tt)
     phase = np.exp(1j * th)
     w = np.array([(1j) ** j * big_f[j] * phase for j in range(k + 1)])
@@ -198,21 +184,18 @@ def _z_stack(datum: SelbergDatum, t: np.ndarray, k: int,
     return parity * w.real, np.abs(w.imag)
 
 
-def z_derivative(datum: SelbergDatum, t: float, k: int,
-                 ctx: EvalContext | None = None) -> ZDerivative:
+def z_derivative(datum: SelbergDatum, t: float, k: int) -> ZDerivative:
     """Z^(k)(t) as a real number plus the discarded imaginary residual."""
-    vals, resid = z_grid(datum, np.array([float(t)]), k, ctx)
+    vals, resid = z_grid(datum, np.array([float(t)]), k)
     return ZDerivative(float(t), int(k), float(vals[0]), float(resid[0]))
 
 
-def completed_value(datum: SelbergDatum, s: complex, k: int,
-                    ctx: EvalContext | None = None) -> complex:
+def completed_value(datum: SelbergDatum, s: complex, k: int) -> complex:
     """xi_k(s), entire with xi_k(s) = (-1)^k xi_k(1-s)."""
     _check_k(k)
-    ctx = ctx or DEFAULT_CONTEXT
     s = complex(s)
     arr = np.array([s])
-    _, big_f, _ = chain_grid(datum, arr, k, ctx)
+    _, big_f, _ = chain_grid(datum, arr, k)
     lg = _log_gamma_sum(datum, np.array([s, 1.0 - s]), range(1))[0]
     logs = s * math.log(datum.q_factor) + (1.0 - k) * lg[0] - k * lg[1]
     if logs.real > 700.0:

@@ -15,10 +15,12 @@ Exit codes: 0 success; 2 validation or domain problems (also argparse usage
 errors); 3 numerically inconclusive results (contour winding off an
 integer, argument tracking underflow).
 
-Evaluation policy comes from an optional --config file of `key = value`
-lines (EvalContext field names) overridden by repeatable --set key=value
-flags.  All numbers print with 15 significant digits and files use LF line
-endings, so identical invocations produce byte-identical output.
+The scan policy of zeros, interlace, count and mirror comes from an
+optional --config file of `key = value` lines (EvalContext field names:
+refine_tol, scan_safety) overridden by repeatable --set key=value flags;
+the other subcommands take neither flag.  All numbers print with 15
+significant digits and files use LF line endings, so identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -75,12 +77,13 @@ def _build_context(config_path: str | None, overrides: list[str]) -> EvalContext
     return DEFAULT_CONTEXT.with_overrides(**fields_map) if fields_map else DEFAULT_CONTEXT
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, scans: bool = False) -> None:
     p.add_argument("--datum", required=True, help="catalog name (zeta, chi3, chi4, chi5, delta)")
     p.add_argument("--k", type=int, default=0, help="derivative order (default 0)")
-    p.add_argument("--config", help="evaluation policy file of key = value lines")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override one EvalContext field (repeatable)")
+    if scans:
+        p.add_argument("--config", help="scan policy file of key = value lines")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one EvalContext field (repeatable)")
     p.add_argument("--experimental", action="store_true",
                    help="allow experimental catalog entries (delta)")
 
@@ -122,20 +125,20 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--s", metavar="RE,IM", help="complex point")
 
     p = sub.add_parser("zeros", help="scan for zeros of Z^(k)")
-    _add_common(p)
+    _add_common(p, scans=True)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("interlace", help="audit interlacing of Z^(k) and Z^(k+1) zeros")
-    _add_common(p)
+    _add_common(p, scans=True)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("count", help="compare the on-line count with theta/pi + S(T)")
-    _add_common(p)
+    _add_common(p, scans=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
 
@@ -147,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rectangle corners; use --rect=-0.5,1.5,10,32 when SMIN is negative")
 
     p = sub.add_parser("mirror", help="mirror-sum check of d/dt (Z^(k+1)/Z^(k))")
-    _add_common(p)
+    _add_common(p, scans=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--window", type=float, required=True)
     p.add_argument("--budget", type=float, default=10.0, help="pass threshold for the fitted constant")
@@ -169,15 +172,16 @@ def _run(args: argparse.Namespace) -> None:
         _emit(to_json(catalog_listing(experimental=args.experimental)) + "\n", None)
         return
 
-    ctx = _build_context(args.config, args.set)
+    # only the scanning subcommands take --config and --set
+    ctx = _build_context(args.config, args.set) if "set" in args else None
     datum = builtin(args.datum, experimental=args.experimental)
 
     if args.command == "eval":
         if args.t is not None:
-            r = z_derivative(datum, args.t, args.k, ctx)
+            r = z_derivative(datum, args.t, args.k)
             _emit(fmt15(r.value) + "\n", None)
         else:
-            cv = chain_value(datum, complex(*_parse_floats(args.s, "RE,IM")), args.k, ctx)
+            cv = chain_value(datum, complex(*_parse_floats(args.s, "RE,IM")), args.k)
             _emit(to_json(cv) + "\n", None)
         return
 
@@ -199,7 +203,7 @@ def _run(args: argparse.Namespace) -> None:
 
     if args.command == "contour":
         rect = Rectangle(*_parse_floats(args.rect, "SMIN,SMAX,TMIN,TMAX"))
-        n = contour_count(datum, args.selector, args.k, rect, ctx)
+        n = contour_count(datum, args.selector, args.k, rect)
         _emit(str(n) + "\n", None)
         return
 
@@ -217,7 +221,7 @@ def _run(args: argparse.Namespace) -> None:
             ts = args.t0 + args.step * np.arange(n_steps + 1)
         except (MemoryError, ValueError):
             raise ContextError(f"sample grid of {n_steps + 1:.3g} points cannot be allocated") from None
-        vals, _ = z_grid(datum, ts, args.k, ctx)
+        vals, _ = z_grid(datum, ts, args.k)
         if args.format == "csv":
             _emit(to_csv(("t", "z"), zip(ts, vals)), args.out)
         else:

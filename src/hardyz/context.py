@@ -1,8 +1,11 @@
-"""Shared evaluation policy.
+"""Scan policy.
 
-EvalContext carries every tunable the numerics depend on, so results are
-reproducible from (inputs, context) alone.  Instances are frozen; make a
-modified copy with dataclasses.replace.
+EvalContext carries the two settings of the zero scan: its grid step and
+its refinement tolerance.  Only the functions that scan take it
+(zerolab.scan_zeros, interlace_audit, count_compare, mirror_sum_check), so
+a zero table is reproducible from (inputs, context) alone; every value of
+F, F_k and Z^(k) is a function of (datum, point) alone.  Instances are
+frozen and hashable; make a modified copy with with_overrides.
 """
 
 from __future__ import annotations
@@ -15,17 +18,16 @@ from .errors import ContextError
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Evaluation policy knobs.
+    """Scan policy knobs.
 
-    exclusion_radius half-width of the discs carved out around psi poles
-    refine_tol       zero refinement stops when the bracket is this narrow
-    scan_safety      fraction of the mean zero gap used as the scan step
+    refine_tol   zero refinement stops when the bracket is this narrow
+    scan_safety  fraction of the mean zero gap used as the scan step
 
-    Every field must be finite.  The Euler-Maclaurin series lengths are
-    fixed constants of specfun (series_terms), not settings.
+    Every field must be finite.  The Euler-Maclaurin series lengths
+    (specfun.series_terms) and the psi exclusion radius
+    (gamma_factor._EXCLUSION_RADIUS) are fixed constants, not settings.
     """
 
-    exclusion_radius: float = 0.1
     refine_tol: float = 1e-9
     scan_safety: float = 0.25
 
@@ -34,8 +36,6 @@ class EvalContext:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ContextError(f"{f.name} must be finite, got {value}")
-        if not (0 < self.exclusion_radius < 0.5):
-            raise ContextError("exclusion_radius must lie in (0, 0.5)")
         # near t = 500 a double is 1.1e-13 from its neighbours; a narrower
         # tolerance cannot be reached there and refinement would never end
         if not (1e-12 <= self.refine_tol <= 1e-6):

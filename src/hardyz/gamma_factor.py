@@ -15,7 +15,8 @@ so F(s) = H(s) F(1-s) and H(s) H(1-s) = 1.  Its logarithmic derivative
 drives the whole derivative chain; higher derivatives follow by
 differentiating under the sum.  All poles of psi and its derivatives are
 real (at the points where a gamma argument hits a nonpositive integer),
-which is why an exclusion radius around those real points is enough.
+which is why an exclusion radius around those real points is enough: psi
+is refused within _EXCLUSION_RADIUS of a pole, a fixed constant.
 
 On the critical line H(1/2 + it) = exp(-2 i theta(t)) defines the phase
 theta used to fold F into the real function Z.
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import SelbergDatum
-from .context import DEFAULT_CONTEXT, EvalContext
 from .errors import (DomainError, ExcludedRegionError, PoleError, RangeError,
                      UnsupportedOrderError, check_order)
 from .specfun import _MAX_POLYGAMMA, _gamma_poles, _log_gamma_rows
@@ -43,6 +43,8 @@ from .specfun import _MAX_POLYGAMMA, _gamma_poles, _log_gamma_rows
 REAL_MIN = -4.0
 REAL_MAX = 350.0
 IMAG_MAX = 600.0
+# psi and its derivatives are refused within this distance of a pole of psi
+_EXCLUSION_RADIUS = 0.1
 
 
 def check_box(arr: np.ndarray) -> None:
@@ -91,15 +93,15 @@ def psi_pole_distance(datum: SelbergDatum, s) -> np.ndarray:
     return best if np.ndim(s) else best[0]
 
 
-def check_psi_domain(datum: SelbergDatum, s_arr: np.ndarray, ctx: EvalContext) -> None:
-    """Refuse non-finite points and points within ctx.exclusion_radius of a
+def check_psi_domain(datum: SelbergDatum, s_arr: np.ndarray) -> None:
+    """Refuse non-finite points and points within _EXCLUSION_RADIUS of a
     pole of psi."""
     dist = psi_pole_distance(datum, s_arr)
-    bad = dist < ctx.exclusion_radius
+    bad = dist < _EXCLUSION_RADIUS
     if np.any(bad):
         s0 = np.atleast_1d(s_arr)[np.atleast_1d(bad)][0]
         raise ExcludedRegionError(
-            f"s = {s0} lies within {ctx.exclusion_radius} of a pole of psi"
+            f"s = {s0} lies within {_EXCLUSION_RADIUS} of a pole of psi"
         )
 
 
@@ -133,15 +135,13 @@ def fe_factor(datum: SelbergDatum, s):
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def fe_logderiv_grid(datum: SelbergDatum, s_arr: np.ndarray, max_order: int,
-                     ctx: EvalContext | None = None) -> np.ndarray:
+def fe_logderiv_grid(datum: SelbergDatum, s_arr: np.ndarray, max_order: int) -> np.ndarray:
     """psi(s) and derivatives, rows 0..max_order over a batch of points:
     psi^(m)(s) = -2 log Q [m = 0] - (-1)^m L^(m+1)(1-s) - L^(m+1)(s), from
     one walk over the mirror and direct arguments."""
-    ctx = ctx or DEFAULT_CONTEXT
     check_order(max_order, _MAX_POLYGAMMA, UnsupportedOrderError, "psi derivative order")
     arr = np.asarray(s_arr, dtype=np.complex128)
-    check_psi_domain(datum, arr, ctx)
+    check_psi_domain(datum, arr)
     lg = _log_gamma_sum(datum, np.stack([1.0 - arr, arr]), range(1, max_order + 2))
     sign = ((-1.0) ** np.arange(max_order + 1)).reshape((-1,) + (1,) * arr.ndim)
     out = np.zeros((max_order + 1,) + arr.shape, dtype=np.complex128)
@@ -150,10 +150,9 @@ def fe_logderiv_grid(datum: SelbergDatum, s_arr: np.ndarray, max_order: int,
     return out
 
 
-def fe_logderiv(datum: SelbergDatum, s: complex, order: int = 0,
-                ctx: EvalContext | None = None) -> complex:
+def fe_logderiv(datum: SelbergDatum, s: complex, order: int = 0) -> complex:
     """psi^(order)(s) = (d/ds)^order of H'(s)/H(s)."""
-    grid = fe_logderiv_grid(datum, np.array([complex(s)]), order, ctx)
+    grid = fe_logderiv_grid(datum, np.array([complex(s)]), order)
     return complex(grid[order, 0])
 
 

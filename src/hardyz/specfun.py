@@ -343,12 +343,17 @@ def _em_finish(s: np.ndarray, main: np.ndarray, main_abs: np.ndarray, big: np.nd
     # big^(1-s-2i) times the Leibniz product of the jet of the rising
     # factorial (s)_{2i-1} = s (s+1) ... (s+2i-2) and powers.  The rising
     # jet starts from the constant 1, (1, 0, ..., 0), and each term
-    # multiplies it by the jets (s+c, 1) of its new factors s+c.
-    rising = np.eye(j + 1, 1)
+    # multiplies it in place by the jets (s+c, 1) of its new factors s+c:
+    # row m of the product is row m (s+c) + m row m-1, top row first.
+    rising = np.zeros((j + 1,) + s.shape, dtype=np.complex128)
+    rising[0] = 1.0
     bern = np.zeros_like(s)
     for i in range(1, _EM_BERNOULLI_PAIRS + 1):
         for c in range(max(2 * i - 3, 0), 2 * i - 1):
-            rising = jet.mul(rising, [s + c, 1.0])
+            sc = s + c
+            for m in range(j, 0, -1):
+                rising[m] = rising[m] * sc + m * rising[m - 1]
+            rising[0] *= sc
         last = (_B_EVEN[i] / math.factorial(2 * i)) * jet.leibniz(rising, powers, j) \
             * decay * big ** (1 - 2 * i)
         bern += last

@@ -9,11 +9,14 @@ contour_count     argument-principle count in a rectangle off the real axis,
                   by a phase walk of F_k or f_k around its boundary
 mirror_sum_check  d/dt (Z^(k+1)/Z^(k)) against the mirrored zero sum
 
-Scan results are cached in-process per (datum and its coefficient provider,
-k, range, context).  Scans pass whole grids to z_grid: every value is a
-function of (datum, t, k, context) alone, whatever batch it is computed in.
-argument_S and contour_count share one arg-change integrator, _phase_walk,
-which evaluates all the points of one refinement round in one batch.
+The scan context (EvalContext) sets only the scan grid and the refinement
+tolerance, so only the functions that scan take it.  Scan results are
+cached in-process per (datum and its coefficient provider, k, range,
+context), in a bounded functools.lru_cache on _scan.  Scans pass whole
+grids to z_grid: every value is a function of (datum, t, k) alone,
+whatever batch it is computed in.  argument_S and contour_count take no
+context and share one arg-change integrator, _phase_walk, which evaluates
+all the points of one refinement round in one batch.
 
 The reports are frozen dataclasses with no rendering code of their own:
 fmtio.to_json prints them field by field, ZeroTable.to_csv_text goes
@@ -24,8 +27,8 @@ fields as a dict for json.dumps.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,10 +122,6 @@ class MirrorReport(_Report):
     agree: bool
 
 
-_scan_cache: dict[tuple, ZeroTable] = {}
-_scan_lock = threading.Lock()
-
-
 def _density_slope(datum: SelbergDatum, t: float) -> float:
     """theta'(t), closed-form Stirling main term, floored at 1."""
     d = datum.degree
@@ -187,30 +186,39 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
     gap).  Each sign-change bracket shrinks to refine_tol by safeguarded
     Illinois steps (see _refine_brackets) and its midpoint is the reported
     zero.  Near-tangential dips of |Z^(k)| without a sign change are listed
-    as advisory t values.
+    as advisory t values.  Tables are cached (see _scan).
     """
-    ctx = ctx or DEFAULT_CONTEXT
     if not (SCAN_T_MIN <= t0 < t1 <= SCAN_T_MAX):
         raise RangeError(f"scan range must satisfy {SCAN_T_MIN} <= t0 < t1 <= {SCAN_T_MAX}")
     check_order(k, SCAN_K_MAX, RangeError, "scan order k")
     # the provider is not part of datum equality, and two data that differ
     # only in their coefficients must not share a table
-    key = (datum, datum.provider, k, float(t0), float(t1), astuple(ctx))
-    with _scan_lock:
-        if key in _scan_cache:
-            return _scan_cache[key]
+    return _scan(datum, datum.provider, int(k), float(t0), float(t1), ctx or DEFAULT_CONTEXT)
 
+
+# A table serves every later call with the same arguments.  Consecutive
+# interlace_audit orders share one, and a CLI process makes a single call.
+# The widest reuse in the repository is perfbench's zeros workload: 512
+# tables at most (64 rounds of two data at orders 0..3), each read again
+# when its outputs are checked.  A table of a narrow window takes a few
+# hundred bytes and one of [5, 500] at k = 6 about 30 kB, so 512 of them
+# stay within 15 MB.
+@lru_cache(maxsize=512)
+def _scan(datum: SelbergDatum, provider, k: int, t0: float, t1: float,
+          ctx: EvalContext) -> ZeroTable:
+    """scan_zeros on validated arguments; provider is part of the cache key
+    only."""
     grid = _scan_grid(datum, t0, t1, ctx)
-    vals = z_grid(datum, grid, k, ctx)[0]
+    vals = z_grid(datum, grid, k)[0]
 
     exact = np.flatnonzero(vals == 0.0)
     change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
 
-    lo, hi = _refine_brackets(lambda x: z_grid(datum, x, k, ctx)[0],
+    lo, hi = _refine_brackets(lambda x: z_grid(datum, x, k)[0],
                               grid[change], grid[change + 1], vals[change], vals[change + 1],
                               ctx.refine_tol)
     gamma = 0.5 * (lo + hi)
-    residual = np.abs(z_grid(datum, gamma, k, ctx)[0]) if gamma.size else gamma
+    residual = np.abs(z_grid(datum, gamma, k)[0]) if gamma.size else gamma
     width = hi - lo
 
     records = sorted(
@@ -228,16 +236,13 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
             if i - 1 not in change and i not in change:
                 advisory.append(float(grid[i]))
 
-    table = ZeroTable(
-        datum.name, int(k), float(t0), float(t1),
+    return ZeroTable(
+        datum.name, k, t0, t1,
         tuple(r[0] for r in records),
         tuple(r[1] for r in records),
         tuple(r[2] for r in records),
         tuple(advisory),
     )
-    with _scan_lock:
-        _scan_cache[key] = table
-    return table
 
 
 def interlace_audit(datum: SelbergDatum, k: int, t0: float, t1: float,
@@ -274,8 +279,7 @@ def _tracking_abscissa(datum: SelbergDatum, k: int) -> float:
     raise PrecisionError("could not place the tracking line away from psi poles")
 
 
-def _guard_tracking_line(datum: SelbergDatum, k: int, sigma: float, t_top: float,
-                         ctx: EvalContext) -> None:
+def _guard_tracking_line(datum: SelbergDatum, k: int, sigma: float, t_top: float) -> None:
     """The count interpretation needs F_k zero-free right of the line.
 
     Sufficient and checkable where the asymptotics apply (t >= 5):
@@ -290,13 +294,13 @@ def _guard_tracking_line(datum: SelbergDatum, k: int, sigma: float, t_top: float
     pts = sigma + 1j * ts
     # f_1 = -psi/2 from the coefficient stack alone: at k = 0, F_1 would
     # cost a derivative circle around every point
-    f = coeff_stack_grid(datum, pts, max(k, 1), ctx)
+    f = coeff_stack_grid(datum, pts, max(k, 1))
     psi = -2.0 * f[1]
     if np.any(psi.real >= 0.0):
         raise PrecisionError(f"Re psi >= 0 on the tracking line sigma = {sigma:g}")
     if np.any(np.abs(f[k]) == 0.0):
         raise PrecisionError(f"f_k vanishes on the tracking line sigma = {sigma:g}")
-    ratio = chain_grid(datum, pts, k, ctx)[1][k] / f[k]
+    ratio = chain_grid(datum, pts, k)[1][k] / f[k]
     if np.any(np.abs(ratio - 1.0) > 0.9):
         raise PrecisionError(f"F_k strays from its dominant power on the tracking line sigma = {sigma:g}")
 
@@ -347,21 +351,19 @@ def _phase_walk(values, corners, err) -> tuple[float, list[np.ndarray]]:
     return math.fsum(np.concatenate(turns)), [np.concatenate(v) for v in seen]
 
 
-def argument_S(datum: SelbergDatum, k: int, T: float,
-               ctx: EvalContext | None = None) -> float:
+def argument_S(datum: SelbergDatum, k: int, T: float) -> float:
     """S(T) for F_k: (1/pi) arg variation along sigma_r -> sigma_r + iT -> 1/2 + iT.
 
     The variation comes from one phase walk of F_k along the path (see
     _phase_walk).  The start is on the real axis where F_k is real, so the
     walked variation is the full argument.
     """
-    ctx = ctx or DEFAULT_CONTEXT
     if not (SCAN_T_MIN <= T <= SCAN_T_MAX):
         raise RangeError(f"argument tracking supports {SCAN_T_MIN} <= T <= {SCAN_T_MAX}")
     check_order(k, SCAN_K_MAX, RangeError, "argument tracking order k")
     sigma = _tracking_abscissa(datum, k)
-    _guard_tracking_line(datum, k, sigma, T, ctx)
-    turn, samples = _phase_walk(lambda s: chain_grid(datum, s, k, ctx)[1][k],
+    _guard_tracking_line(datum, k, sigma, T)
+    turn, samples = _phase_walk(lambda s: chain_grid(datum, s, k)[1][k],
                                 [sigma, complex(sigma, T), complex(0.5, T)], TrackingError)
     start = complex(samples[0][0])
     if abs(start) < 1e-9 or abs(start.imag) > 1e-6 * abs(start):
@@ -382,23 +384,21 @@ def count_compare(datum: SelbergDatum, k: int, T: float,
     residual n_line - theta/pi - S(T) collects the order-one constants of
     the counting formula and should stay bounded as T varies.
     """
-    ctx = ctx or DEFAULT_CONTEXT
     if not (20.0 <= T <= SCAN_T_MAX):
         raise RangeError(f"count comparison supports 20 <= T <= {SCAN_T_MAX:g}")
     check_order(k, SCAN_K_MAX, RangeError, "count comparison order k")
     low = np.arange(0.05, SCAN_T_MIN + 0.005, 0.005)
-    lv = z_grid(datum, low, k, ctx)[0]
+    lv = z_grid(datum, low, k)[0]
     low_count = int(np.count_nonzero(np.sign(lv[:-1]) * np.sign(lv[1:]) < 0))
     table = scan_zeros(datum, k, SCAN_T_MIN, T, ctx)
     n_line = low_count + len(table.gammas)
     theta_term = theta(datum, T).theta / math.pi
-    s_measured = argument_S(datum, k, T, ctx)
+    s_measured = argument_S(datum, k, T)
     residual = n_line - theta_term - s_measured
     return CountReport(datum.name, float(T), int(k), n_line, theta_term, s_measured, residual)
 
 
-def contour_count(datum: SelbergDatum, selector: str, k: int, rect: Rectangle,
-                  ctx: EvalContext | None = None) -> int:
+def contour_count(datum: SelbergDatum, selector: str, k: int, rect: Rectangle) -> int:
     """Argument-principle zero count of F_k or f_k inside a rectangle.
 
     The rectangle must sit off the real axis (t_min >= 1), which keeps every
@@ -407,10 +407,13 @@ def contour_count(datum: SelbergDatum, selector: str, k: int, rect: Rectangle,
     boundary, counterclockwise from (sigma_min, t_min) (see _phase_walk), so
     no derivative and no quadrature enter it.
     """
-    ctx = ctx or DEFAULT_CONTEXT
     if selector not in ("chain", "coeff"):
         raise RangeError("selector must be 'chain' (F_k) or 'coeff' (f_k)")
     check_order(k, SCAN_K_MAX, RangeError, "contour counting order k")
+    # NaN passes every comparison below, so it is refused first
+    for name, val in vars(rect).items():
+        if not math.isfinite(val):
+            raise RangeError(f"{name} must be finite, got {val}")
     if not (rect.sigma_min < rect.sigma_max and rect.t_min < rect.t_max):
         raise RangeError("degenerate rectangle")
     if rect.t_min < 1.0 or rect.t_max > SCAN_T_MAX:
@@ -420,8 +423,8 @@ def contour_count(datum: SelbergDatum, selector: str, k: int, rect: Rectangle,
 
     def values(s: np.ndarray) -> np.ndarray:
         if selector == "coeff":
-            return coeff_stack_grid(datum, s, k, ctx)[k]
-        return chain_grid(datum, s, k, ctx)[1][k]
+            return coeff_stack_grid(datum, s, k)[k]
+        return chain_grid(datum, s, k)[1][k]
 
     corners = [complex(rect.sigma_min, rect.t_min), complex(rect.sigma_max, rect.t_min),
                complex(rect.sigma_max, rect.t_max), complex(rect.sigma_min, rect.t_max)]
@@ -461,7 +464,7 @@ def mirror_sum_check(datum: SelbergDatum, k: int, t: float, window: float,
     gam = np.array(table.gammas)
     if gam.size and float(np.min(np.abs(gam - t))) <= ctx.refine_tol:
         raise ProximityError(f"t = {t} coincides with a zero of Z^({k})")
-    z0, z1, z2 = _z_stack(datum, np.array([float(t)]), k + 2, ctx)[0][k:, 0]
+    z0, z1, z2 = _z_stack(datum, np.array([float(t)]), k + 2)[0][k:, 0]
     lhs = z2 / z0 - (z1 / z0) ** 2
     truncated = float(np.sum(1.0 / (t - gam) ** 2)) if gam.size else 0.0
     density = theta(datum, t).theta_prime / math.pi

@@ -6,7 +6,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from hardyz.catalog import builtin
-from hardyz.context import DEFAULT_CONTEXT
 
 
 @pytest.fixture(scope="session")
@@ -32,8 +31,3 @@ def chi5():
 @pytest.fixture(scope="session")
 def delta():
     return builtin("delta", experimental=True)
-
-
-@pytest.fixture(scope="session")
-def ctx():
-    return DEFAULT_CONTEXT

@@ -252,7 +252,7 @@ def test_lead_and_tail_ratios_near_one_far_right():
 
 
 def test_order_zero_keeps_psi_domain_checks():
-    # f_0 = 1 is returned without psi, yet a point within exclusion_radius of
+    # f_0 = 1 is returned without psi, yet a point within the exclusion radius of
     # a pole of psi (zeta: s = 1; chi4: s = 6) is still refused, at every k
     zeta, chi4 = builtin("zeta"), builtin("chi4")
     assert np.array_equal(coeff_stack_grid(zeta, np.array([0.5 + 20j, 2.0 + 0j]), 0),

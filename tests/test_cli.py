@@ -113,9 +113,9 @@ def test_exit_code_validation_errors(capsys, tmp_path):
     assert run(capsys, ["eval", "--datum", "delta", "--t", "10"])[0] == 2
     assert run(capsys, ["zeros", "--datum", "zeta", "--k", "0",
                         "--t0", "1", "--t1", "30"])[0] == 2
-    assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
+    assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
                         "--set", "scan_safety=-1"])[0] == 2
-    assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
+    assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
                         "--set", "nonsense"])[0] == 2
     # a tolerance finer than the float spacing near t = 500 is refused, not
     # refined forever
@@ -125,8 +125,9 @@ def test_exit_code_validation_errors(capsys, tmp_path):
     assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
                         "--set", "scan_safety=1e-16"])[0] == 2
     # non-finite context values and points
-    for kv in ("refine_tol=nan", "exclusion_radius=inf", "scan_safety=nan"):
-        assert run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])[0] == 2
+    for kv in ("refine_tol=nan", "refine_tol=inf", "scan_safety=nan"):
+        assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
+                            "--set", kv])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--t", "nan"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--s", "nan,20"])[0] == 2
     # far outside the evaluation box: refused by the box check before psi
@@ -141,7 +142,7 @@ def test_exit_code_validation_errors(capsys, tmp_path):
         rc, _, err = run(capsys, ["mirror", "--datum", "zeta", "--t", t, "--window", window])
         assert rc == 2 and err.startswith(f"error: {name} must be finite"), err
     # malformed values are reported, not raised as tracebacks
-    assert run(capsys, ["eval", "--datum", "zeta", "--t", "18",
+    assert run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
                         "--set", "scan_safety=abc"])[0] == 2
     assert run(capsys, ["eval", "--datum", "zeta", "--s", "1,2,3"])[0] == 2
     for step in ("0", "nan"):
@@ -154,7 +155,9 @@ def test_exit_code_validation_errors(capsys, tmp_path):
                                   "--step", step])
         assert rc == 2 and err.startswith("error:"), step
     assert run(capsys, ["contour", "--datum", "zeta", "--rect=a,b,c,d"])[0] == 2
-    rc, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18",
+    rc, _, err = run(capsys, ["contour", "--datum", "zeta", "--rect=nan,1,10,20"])
+    assert rc == 2 and err.startswith("error: sigma_min must be finite, got nan"), err
+    rc, _, err = run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
                               "--config", str(tmp_path / "missing.cfg")])
     assert rc == 2 and err.startswith("error:")
     rc, _, err = run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
@@ -173,9 +176,21 @@ def test_jobs_flag_is_gone():
 
 def test_fixed_settings_are_not_context_fields(capsys):
     for kv in ("cauchy_radius=0.2", "cauchy_nodes=32", "abs_tol=1e-10", "em_bernoulli=12",
-               "sigma_right_base=6", "sigma_right_step=2", "em_cutoff=20", "em_scale=1"):
-        rc, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18", "--set", kv])
+               "sigma_right_base=6", "sigma_right_step=2", "em_cutoff=20", "em_scale=1",
+               "exclusion_radius=0.1"):
+        rc, _, err = run(capsys, ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12",
+                                  "--set", kv])
         assert rc == 2 and "unknown context fields" in err
+
+
+def test_policy_flags_only_on_scanning_subcommands():
+    # eval, contour and sample take no scan policy, so they take no flag for it
+    for argv in (["eval", "--t", "18"], ["contour", "--rect=-2,3,20,40"],
+                 ["sample", "--t0", "14", "--t1", "15", "--step", "0.25"]):
+        for flag in (["--set", "refine_tol=1e-10"], ["--config", "policy.cfg"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--datum", "zeta"] + flag)
+            assert exc.value.code == 2
 
 
 def test_exit_code_inconclusive(capsys):
@@ -188,19 +203,17 @@ def test_exit_code_inconclusive(capsys):
 def test_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "policy.cfg"
     cfg.write_text("scan_safety = 0.125  # finer scan\nrefine_tol = 1e-10\n")
-    rc, out, _ = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0",
-                              "--config", str(cfg)])
+    zeros = ["zeros", "--datum", "zeta", "--t0", "10", "--t1", "12"]
+    rc, out, _ = run(capsys, zeros + ["--config", str(cfg)])
     assert rc == 0
     # --set wins over the file; invalid merged value fails cleanly
-    rc2, _, _ = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0",
-                             "--config", str(cfg), "--set", "refine_tol=1e-11"])
+    rc2, _, _ = run(capsys, zeros + ["--config", str(cfg), "--set", "refine_tol=1e-11"])
     assert rc2 == 0
-    rc3, _, _ = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0",
-                             "--config", str(cfg), "--set", "scan_safety=0.9"])
+    rc3, _, _ = run(capsys, zeros + ["--config", str(cfg), "--set", "scan_safety=0.9"])
     assert rc3 == 2
     bad = tmp_path / "bad.cfg"
     bad.write_text("scan_safety = fast\n")
-    rc4, _, err = run(capsys, ["eval", "--datum", "zeta", "--t", "18.0", "--config", str(bad)])
+    rc4, _, err = run(capsys, zeros + ["--config", str(bad)])
     assert rc4 == 2 and "scan_safety" in err
 
 

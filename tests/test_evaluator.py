@@ -114,7 +114,7 @@ def test_box_guards():
 def test_context_rejects_non_finite_fields():
     floats = [f.name for f in fields(DEFAULT_CONTEXT)
               if isinstance(getattr(DEFAULT_CONTEXT, f.name), float)]
-    assert len(floats) == 3
+    assert len(floats) == 2
     for name in floats:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ContextError):

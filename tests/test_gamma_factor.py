@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from hardyz import gamma_factor
 from hardyz.catalog import builtin
-from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import (DomainError, ExcludedRegionError, PoleError, RangeError,
                            UnsupportedOrderError)
 from hardyz.gamma_factor import (fe_factor, fe_logderiv, fe_logderiv_grid,
@@ -188,12 +188,12 @@ def test_psi_pole_distance_values():
     assert d4[0] == 0.0
 
 
-def test_exclusion_circle_refusal():
+def test_exclusion_circle_refusal(monkeypatch):
     with pytest.raises(ExcludedRegionError):
         fe_logderiv(builtin("zeta"), complex(1.0 + 0.05, 0.0))
-    # the radius is policy, not hardwired
-    loose = DEFAULT_CONTEXT.with_overrides(exclusion_radius=0.02)
-    val = fe_logderiv(builtin("zeta"), complex(1.05, 0.0), ctx=loose)
+    # the refusal reads the module constant, not a hardwired radius
+    monkeypatch.setattr(gamma_factor, "_EXCLUSION_RADIUS", 0.02)
+    val = fe_logderiv(builtin("zeta"), complex(1.05, 0.0))
     assert np.isfinite(val.real)
 
 
@@ -214,14 +214,15 @@ def test_non_finite_points_are_refused():
                 fe_logderiv_grid(zeta, np.array([complex(0.5, 20.0), s]), 2)
 
 
-def test_psi_residues_at_gateway_poles():
+def test_psi_residues_at_gateway_poles(monkeypatch):
     # psi_F has residue +1 at s=0 and -1 at s=1 (simple poles from the
-    # gamma factors); trapezoid circle of radius 0.05, 256 nodes
-    ctx = DEFAULT_CONTEXT.with_overrides(exclusion_radius=0.02)
+    # gamma factors); trapezoid circle of radius 0.05, 256 nodes, inside
+    # the default exclusion radius, which is narrowed for this test
+    monkeypatch.setattr(gamma_factor, "_EXCLUSION_RADIUS", 0.02)
     zeta = builtin("zeta")
     for center, want in ((0.0, 1.0), (1.0, -1.0)):
         phi = 2.0 * np.pi * np.arange(256) / 256.0
         ring = center + 0.05 * np.exp(1j * phi)
-        vals = np.array([fe_logderiv(zeta, complex(z), ctx=ctx) for z in ring])
+        vals = np.array([fe_logderiv(zeta, complex(z)) for z in ring])
         residue = np.mean(vals * (ring - center))
         assert abs(residue - want) < 1e-10

@@ -131,7 +131,7 @@ def fixed_results(monkeypatch):
                         ("count_compare", COUNT), ("mirror_sum_check", MIRROR),
                         ("chain_value", CHAIN)):
         monkeypatch.setattr(cli, name, lambda *args, _value=value, **kw: _value)
-    monkeypatch.setattr(cli, "z_grid", lambda datum, ts, k, ctx: (
+    monkeypatch.setattr(cli, "z_grid", lambda datum, ts, k: (
         np.array([0.25, -1e-3, 1.0 / 3.0]), np.zeros(3)))
 
 

@@ -15,7 +15,6 @@ import hardyz
 from hardyz import zerolab
 from hardyz.catalog import builtin
 from hardyz.chain import chain_grid, z_grid
-from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import (InconclusiveContourError, PrecisionError, ProximityError,
                            RangeError, TrackingError)
 from hardyz.gamma_factor import theta
@@ -49,26 +48,25 @@ def test_scan_chi4_zeros_multiprecision():
 
 
 @pytest.mark.parametrize("name", ["zeta", "chi4"])
-def test_z_grid_batch_invariance(name, monkeypatch):
-    # a value is a function of (datum, t, k, ctx): permuted batches, random
+def test_z_grid_batch_invariance(name):
+    # a value is a function of (datum, t, k): permuted batches, random
     # subsets and single points give the same bits
     datum = builtin(name)
-    ctx = DEFAULT_CONTEXT
     rng = np.random.default_rng(20)
     ts = np.sort(rng.uniform(5.0, 500.0, 96))
     for k in (0, 1, 3):
-        full = z_grid(datum, ts, k, ctx)[0]
+        full = z_grid(datum, ts, k)[0]
         perm = rng.permutation(ts.size)
-        assert np.array_equal(z_grid(datum, ts[perm], k, ctx)[0], full[perm])
+        assert np.array_equal(z_grid(datum, ts[perm], k)[0], full[perm])
         sub = np.sort(rng.choice(ts.size, 17, replace=False))
-        assert np.array_equal(z_grid(datum, ts[sub], k, ctx)[0], full[sub])
+        assert np.array_equal(z_grid(datum, ts[sub], k)[0], full[sub])
         for i in sub[:4]:
-            assert z_grid(datum, ts[i:i + 1], k, ctx)[0][0] == full[i]
+            assert z_grid(datum, ts[i:i + 1], k)[0][0] == full[i]
     # the second scan would be a cache hit without emptying the cache
-    monkeypatch.setattr(zerolab, "_scan_cache", {})
-    table = scan_zeros(datum, 0, 60.0, 120.0, ctx)
-    monkeypatch.setattr(zerolab, "_scan_cache", {})
-    assert scan_zeros(datum, 0, 60.0, 120.0, ctx) == table
+    zerolab._scan.cache_clear()
+    table = scan_zeros(datum, 0, 60.0, 120.0)
+    zerolab._scan.cache_clear()
+    assert scan_zeros(datum, 0, 60.0, 120.0) == table
 
 
 def _refine_checked(f, lo, hi, tol=1e-9):
@@ -125,11 +123,11 @@ def test_refine_brackets_close_at_different_rounds():
 def test_scan_refinement_rounds(monkeypatch):
     calls = []
 
-    def counted(datum, ts, k, ctx=None):
+    def counted(datum, ts, k):
         calls.append(ts.size)
-        return z_grid(datum, ts, k, ctx)
+        return z_grid(datum, ts, k)
 
-    monkeypatch.setattr(zerolab, "_scan_cache", {})
+    zerolab._scan.cache_clear()
     monkeypatch.setattr(zerolab, "z_grid", counted)
     table = scan_zeros(builtin("zeta"), 1, 8.0, 30.0)
     assert np.max(np.abs(np.array(table.gammas) - np.array(ZETA_PRIME_ZEROS))) < 1e-8
@@ -214,9 +212,9 @@ def test_tracking_line_guard_passes_at_the_fixed_abscissa():
     for datum in data:
         for k in range(zerolab.SCAN_K_MAX + 1):
             sigma = zerolab._tracking_abscissa(datum, k)
-            zerolab._guard_tracking_line(datum, k, sigma, zerolab.SCAN_T_MAX, DEFAULT_CONTEXT)
+            zerolab._guard_tracking_line(datum, k, sigma, zerolab.SCAN_T_MAX)
     with pytest.raises(PrecisionError, match="sigma = 2$"):
-        zerolab._guard_tracking_line(data[0], 0, 2.0, zerolab.SCAN_T_MAX, DEFAULT_CONTEXT)
+        zerolab._guard_tracking_line(data[0], 0, 2.0, zerolab.SCAN_T_MAX)
 
 
 def test_argument_s_against_classical_identity():
@@ -297,6 +295,19 @@ def test_contour_refuses_zero_on_edge():
                       Rectangle(-0.5, 1.5, ZETA_ZEROS[0], 32.0))
 
 
+def test_contour_validation():
+    zeta = builtin("zeta")
+    with pytest.raises(RangeError, match="^degenerate rectangle$"):
+        contour_count(zeta, "chain", 0, Rectangle(1.5, -0.5, 10.0, 32.0))
+    # NaN fails no range comparison, so each corner is refused by name
+    for i, name in enumerate(("sigma_min", "sigma_max", "t_min", "t_max")):
+        for bad in (math.nan, math.inf):
+            corners = [-0.5, 1.5, 10.0, 32.0]
+            corners[i] = bad
+            with pytest.raises(RangeError, match=f"^{name} must be finite, got {bad}$"):
+                contour_count(zeta, "chain", 0, Rectangle(*corners))
+
+
 def test_mirror_sum_zeta():
     rep = mirror_sum_check(builtin("zeta"), 0, 100.0, 40.0)
     assert rep.agree is True
@@ -332,7 +343,7 @@ def test_scan_cache_returns_consistent_tables():
     assert a.gammas == b.gammas and a.residuals == b.residuals
 
 
-def test_scan_cache_keeps_data_apart(monkeypatch):
+def test_scan_cache_keeps_data_apart():
     # a datum renamed to another's name, or one that differs only in its
     # coefficient provider (not part of datum equality), gets its own table
     zeta, chi3, chi4 = builtin("zeta"), builtin("chi3"), builtin("chi4")
@@ -341,6 +352,6 @@ def test_scan_cache_keeps_data_apart(monkeypatch):
     scan_zeros(zeta, 0, 10.0, 22.0)
     scan_zeros(chi4, 0, 10.0, 22.0)
     cached = [scan_zeros(d, 0, 10.0, 22.0) for d in (renamed, rewired)]
-    monkeypatch.setattr(zerolab, "_scan_cache", {})
+    zerolab._scan.cache_clear()
     assert cached == [scan_zeros(d, 0, 10.0, 22.0) for d in (renamed, rewired)]
     assert len(cached[0].gammas) == 5

@@ -15,7 +15,8 @@ for the four data in that order):
 * rows 0..8 of the values and error estimates of l_derivs_grid(datum, s, 8),
 
 then the rows Z^(0..8) and their imaginary residuals from one
-chain._z_stack call per datum on 800 seeded t in [5, 480] (default_rng(2028),
+chain._z_stack call per datum (with ctx=None where _z_stack still takes a
+context) on 800 seeded t in [5, 480] (default_rng(2028),
 one generator for the four data in the same order), and, on the points of
 zeta, the values and error estimates of
 hurwitz_zeta for deriv 0..4, a in {1, 1/4, 3/4, 1/3}, with and without
@@ -25,6 +26,7 @@ sub_pole.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -79,8 +81,10 @@ def main(argv: list[str]) -> int:
         for label, stack in zip(("value", "est"), l_derivs_grid(datum, s, K)):
             for j in range(K + 1):
                 digest(f"{name} l_derivs_grid {label}[{j}]", stack[j])
+    # a checkout whose _z_stack still takes a context gets the default one
+    ctx = (None,) * ("ctx" in inspect.signature(_z_stack).parameters)
     for name, t in sweep_heights().items():
-        for label, stack in zip(("Z", "resid"), _z_stack(builtin(name), t, K, None)):
+        for label, stack in zip(("Z", "resid"), _z_stack(builtin(name), t, K, *ctx)):
             for j in range(K + 1):
                 digest(f"{name} _z_stack {label}[{j}]", stack[j])
     for label, a in SHIFTS:
