@@ -24,8 +24,8 @@ class EvalContext:
     scan_safety  fraction of the mean zero gap used as the scan step
 
     Every field must be finite.  The Euler-Maclaurin series lengths
-    (specfun.series_terms) and the psi exclusion radius
-    (gamma_factor._EXCLUSION_RADIUS) are fixed constants, not settings.
+    (specfun.series_terms, sized per point by the remainder bound) and the
+    psi exclusion radius (gamma_factor._EXCLUSION_RADIUS) are not settings.
     """
 
     refine_tol: float = 1e-9

@@ -22,7 +22,10 @@ integrands:
 One circle of values serves every order up to the requested maximum, which
 the derivative-chain module relies on; the centres and their nodes are
 evaluated in one pass.  Every L-value sizes its own series from its point
-alone (specfun.series_terms).
+alone: a Dirichlet sum takes the shortest length whose Euler-Maclaurin
+remainder bound meets its rounding allowance (specfun.series_terms), and
+the cusp form, which has no Euler-Maclaurin finish, max(320, ceil|Im s|)
+terms (specfun.tier_lengths).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from .catalog import SelbergDatum
 from .errors import DomainError, GeometryError, PoleError, UnsupportedOrderError, check_order
 from .gamma_factor import REAL_MAX, REAL_MIN, check_box, fe_factor
-from .specfun import _EM_CUTOFF, _em_finish, power_tables, series_terms
+from .specfun import _EM_CUTOFF, _em_finish, power_tables, series_terms, tier_lengths
 
 CAUCHY_RADIUS = 0.25
 CAUCHY_NODES = 64
@@ -73,7 +76,7 @@ def _dirichlet_grid(table: tuple[float, ...], arr: np.ndarray) -> tuple[np.ndarr
     # needs no other rows
     units_only = all(math.gcd(a, q) == 1 for a in residues)
     flat = arr.ravel()
-    lengths = series_terms(flat.imag)
+    lengths = series_terms(flat)
     main = np.empty((len(residues), flat.size), dtype=np.complex128)
     main_abs = np.empty(main.shape, dtype=np.float64)
     for idx, classes, tab in power_tables(flat, lengths, q, units_only):
@@ -99,7 +102,7 @@ def _dirichlet_grid(table: tuple[float, ...], arr: np.ndarray) -> tuple[np.ndarr
 
 
 def _cusp_series_grid(datum: SelbergDatum, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lengths = series_terms(arr.imag, floor=16 * _EM_CUTOFF)
+    lengths = tier_lengths(arr.imag, floor=16 * _EM_CUTOFF)
     vals = np.empty_like(arr)
     for idx, _, tab in power_tables(arr, lengths):
         vals[idx] = (tab * datum.coefficient_block(tab.shape[1])).sum(axis=1)

@@ -138,15 +138,24 @@ def fe_factor(datum: SelbergDatum, s):
 def fe_logderiv_grid(datum: SelbergDatum, s_arr: np.ndarray, max_order: int) -> np.ndarray:
     """psi(s) and derivatives, rows 0..max_order over a batch of points:
     psi^(m)(s) = -2 log Q [m = 0] - (-1)^m L^(m+1)(1-s) - L^(m+1)(s), from
-    one walk over the mirror and direct arguments."""
+    one walk over the mirror and direct arguments.  When every point lies on
+    the critical line, 1 - s is the conjugate of s and, the mu being real,
+    so is each mirror argument of its direct one: the walk over the direct
+    arguments alone gives the mirror rows as its conjugates, with the same
+    bits."""
     check_order(max_order, _MAX_POLYGAMMA, UnsupportedOrderError, "psi derivative order")
     arr = np.asarray(s_arr, dtype=np.complex128)
     check_psi_domain(datum, arr)
-    lg = _log_gamma_sum(datum, np.stack([1.0 - arr, arr]), range(1, max_order + 2))
+    rows = range(1, max_order + 2)
+    if np.all(arr.real == 0.5):
+        direct = _log_gamma_sum(datum, arr, rows)
+        mirror = direct.conj()
+    else:
+        mirror, direct = _log_gamma_sum(datum, np.stack([1.0 - arr, arr]), rows).swapaxes(0, 1)
     sign = ((-1.0) ** np.arange(max_order + 1)).reshape((-1,) + (1,) * arr.ndim)
     out = np.zeros((max_order + 1,) + arr.shape, dtype=np.complex128)
     out[0] = -2.0 * math.log(datum.q_factor)
-    out -= sign * lg[:, 0] + lg[:, 1]
+    out -= sign * mirror + direct
     return out
 
 

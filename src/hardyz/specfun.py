@@ -8,7 +8,9 @@ Everything here is built from three classical tools:
   Gamma and every psi^(m) at once,
 * Euler-Maclaurin summation for the Hurwitz zeta function, differentiated
   term by term in s for the first few s-derivatives by the Leibniz rule of
-  the jet module, and
+  the jet module, with 15 Bernoulli corrections and the proven bound on
+  the remainder (_em_finish); the bound also sizes each point's direct sum
+  (series_terms), and
 * a table of integer powers m^(-s) (power_tables) that takes an exp at the
   primes only: n^(-s) is completely multiplicative, so every other power is
   the product of two earlier ones.  The evaluator's Dirichlet sums (zeta,
@@ -43,9 +45,9 @@ _SHIFT_REAL = 12.0
 # on the order of psi_F; the tests check every row against mpmath up to it
 _MAX_POLYGAMMA = 16
 _MAX_HURWITZ_DERIV = 4
-_MAX_BERNOULLI_PAIRS = 15  # table covers B_2 .. B_30
-# Bernoulli corrections B_2 .. B_24 after every Euler-Maclaurin direct sum
-_EM_BERNOULLI_PAIRS = 12
+# Bernoulli pairs B_2 .. B_30: the terms of the Stirling series and the
+# corrections after every Euler-Maclaurin direct sum
+_BERNOULLI_PAIRS = 15
 # unit steps allowed in the upward recurrence; the package's own gamma
 # arguments (Re >= -343.5 for Re s <= 350, target <= 28) need at most ~372
 _MAX_SHIFT_STEPS = 1000
@@ -73,13 +75,13 @@ def _bernoulli_exact(n_max: int) -> list[Fraction]:
     return table
 
 
-_B_EXACT = _bernoulli_exact(2 * _MAX_BERNOULLI_PAIRS)
+_B_EXACT = _bernoulli_exact(2 * _BERNOULLI_PAIRS)
 # even-index Bernoulli numbers as floats: index i holds B_{2i}, i >= 1
-_B_EVEN = np.array([float(_B_EXACT[2 * i]) for i in range(_MAX_BERNOULLI_PAIRS + 1)])
+_B_EVEN = np.array([float(_B_EXACT[2 * i]) for i in range(_BERNOULLI_PAIRS + 1)])
 
 # Stirling series for log Gamma: sum_i B_{2i} / ((2i)(2i-1) w^{2i-1})
 _LG_COEF = np.array(
-    [float(_B_EXACT[2 * i] / Fraction((2 * i) * (2 * i - 1))) for i in range(1, _MAX_BERNOULLI_PAIRS + 1)]
+    [float(_B_EXACT[2 * i] / Fraction((2 * i) * (2 * i - 1))) for i in range(1, _BERNOULLI_PAIRS + 1)]
 )
 
 
@@ -109,7 +111,7 @@ def _stirling(n: int, w: np.ndarray) -> np.ndarray:
     iw = 1.0 / w
     iw2 = iw * iw
     ser = np.zeros_like(w)
-    for i in range(_MAX_BERNOULLI_PAIRS, 0, -1):
+    for i in range(_BERNOULLI_PAIRS, 0, -1):
         c = _B_EVEN[i] / (2 * i) if m == 0 else \
             _B_EVEN[i] * (math.factorial(2 * i + m - 1) / math.factorial(2 * i))
         ser = (ser + c) * iw2
@@ -172,18 +174,63 @@ def polygamma(m: int, z):
     return out[0] if scalar else out
 
 
-def series_terms(im, floor: int = _EM_CUTOFF) -> np.ndarray:
-    """Direct-sum length of each point: N = max(floor, ceil|Im s|), with the
-    excess over floor rounded up to a multiple of _TIER.  Each length follows
-    its own point only, so a value never depends on the batch it is computed
-    in.  A length above _CHUNK_BUDGET is refused before anything is
-    allocated."""
+def tier_lengths(im, floor: int = _EM_CUTOFF) -> np.ndarray:
+    """max(floor, ceil|Im s|) per point, the excess over floor rounded up to
+    a multiple of _TIER: the length of a Dirichlet sum with no
+    Euler-Maclaurin finish (the cusp form), and the cap of series_terms."""
     excess = np.maximum(np.ceil(np.abs(im)) - floor, 0.0)
-    lengths = floor + _TIER * np.ceil(excess / _TIER)
+    return (floor + _TIER * np.ceil(excess / _TIER)).astype(np.int64)
+
+
+def series_terms(s) -> np.ndarray:
+    """Direct-sum length N of each point before its Euler-Maclaurin finish:
+    the shortest N = _EM_CUTOFF + _TIER k, up to the length of tier_lengths,
+    with
+
+        4 (t^2 + mean_c (sigma + c)^2)^M (2 pi)^(-2M) N^(-alpha) / alpha
+            <= (5e-15 + 2e-16 |t|) max(1, int_1^(N-1) x^(-sigma) dx),
+
+    M = _BERNOULLI_PAIRS, alpha = sigma + 2M - 1 > 0 and c = 0 .. 2M-1, or
+    the length of tier_lengths when no shorter N passes.  The left side is
+    at least the remainder bound of _em_finish at deriv 0 and at every
+    abscissa N + a, a in (0, 1]: |(s)_2M|^2 is the product of the
+    (sigma + c)^2 + t^2, at most their mean to the power 2M.  The right side
+    is the rounding allowance of _em_finish on a lower bound of the sum of
+    |(n + a)^(-s)| over n < N, so the remainder of every residue class stays
+    below its rounding allowance; on the strip that takes about 0.4 |t|
+    terms.  Both sides are monotone in N, and a bisection over k finds each
+    point's length from that point alone, so a value never depends on the
+    batch it is computed in.  A length above _CHUNK_BUDGET is refused before
+    anything is allocated."""
+    s = np.asarray(s, dtype=np.complex128)
+    sig, t = s.real, np.abs(s.imag)
+    m = _BERNOULLI_PAIRS
+    alpha = sig + (2 * m - 1)
+    spread = sig * sig + (2 * m - 1) * sig + (2 * m - 1) * (4 * m - 1) / 6.0
+    log_head = m * np.log(t * t + spread) + math.log(4.0) - 2 * m * math.log(2.0 * math.pi) \
+        - np.log(np.where(alpha > 0.0, alpha, 1.0))
+    log_tol = np.log(5e-15 + 2e-16 * t)
+
+    def passes(k):
+        n = _EM_CUTOFF + _TIER * k
+        lg = np.log(n - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            area = np.where(sig == 1.0, lg, np.expm1((1.0 - sig) * lg) / (1.0 - sig))
+        return (alpha > 0.0) & (log_head - alpha * np.log(n) <= log_tol + np.log(np.maximum(area, 1.0)))
+
+    lo = np.zeros(s.shape)
+    hi = (tier_lengths(s.imag) - _EM_CUTOFF) / _TIER
+    while np.any(lo < hi):
+        live = lo < hi
+        mid = np.floor(0.5 * (lo + hi))
+        ok = passes(mid)
+        hi = np.where(live & ok, mid, hi)
+        lo = np.where(live & ~ok, mid + 1.0, lo)
+    lengths = _EM_CUTOFF + _TIER * hi.astype(np.int64)
     if np.any(lengths > _CHUNK_BUDGET):
-        raise DomainError(f"a direct sum of {lengths.max():.0f} terms exceeds the "
-                          f"{_CHUNK_BUDGET}-term limit (|Im s| = {np.abs(im).max()})")
-    return lengths.astype(np.int64)
+        raise DomainError(f"a direct sum of {lengths.max()} terms exceeds the "
+                          f"{_CHUNK_BUDGET}-term limit (|Im s| = {t.max()})")
+    return lengths
 
 
 def tier_chunks(lengths: np.ndarray):
@@ -299,18 +346,37 @@ def _direct_sum(s: np.ndarray, a: float, j: int, n_terms: int) -> tuple[np.ndarr
 def _em_finish(s: np.ndarray, main: np.ndarray, main_abs: np.ndarray, big: np.ndarray, j: int,
                sub_pole: bool, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Add the j-th s-derivatives of the Euler-Maclaurin tail, half term and
-    _EM_BERNOULLI_PAIRS Bernoulli corrections to the direct sums main, each
+    _BERNOULLI_PAIRS = M Bernoulli corrections to the direct sums main, each
     correction multiplied by scale if given.  The tail is the Leibniz
     product (jet.leibniz) of the jets of big^(1-s) and 1/(s-1), and each
     Bernoulli term that of the rising factorial's jet and ((-log big)^i).
 
-    big holds each point's N + a, the first abscissa left out of its direct
-    sum, and main_abs the sum of its term moduli.  Returns (value, error
-    estimate): four times the last Bernoulli correction, a rounding
-    allowance for the direct sum and a relative floor.  With
-    sub_pole the analytic pole part d^j/ds^j (s-1)^(-1) is removed, which
-    makes the result entire; sums of such values over a character with mean
-    zero reproduce the L-function exactly.
+    big holds each point's x = N + a, the first abscissa left out of its
+    direct sum, and main_abs the sum of its term moduli.  Returns (value,
+    error estimate).  The estimate is the sum of
+
+    * the remainder bound: the remainder is the integral over u > x of the
+      periodic Bernoulli function B~_2M(u)/(2M)!, at most
+      4 (2 pi)^(-2M) in modulus, times d^j/ds^j of (s)_2M u^(-s-2M).  With
+      alpha = sigma + 2M - 1 > 0 and rho_i the i-th s-derivative of (s)_2M,
+
+          |R_j| <= 4 (2 pi)^(-2M) sum_i C(j, i) |rho_i|
+                   int_x^oo log^(j-i)(u) u^(-alpha-1) du,
+
+      each integral in closed form (the incomplete gamma function at an
+      integer order), as in Johansson, arXiv:1309.2877; at j = 0 this is
+      4 |(s)_2M| (2 pi)^(-2M) x^(-alpha) / alpha.  It is infinite where
+      alpha <= 0, since the integral then diverges;
+    * a rounding allowance for the direct sum, (5e-15 + 2e-16 |Im s|)
+      main_abs: a sum of terms of modulus |m^(-s)| loses a few ulps of its
+      modulus mass, and each term's phase -t log m is reduced with an error
+      of about eps |t|.  Both constants were calibrated against 30-digit
+      mpmath references;
+    * a relative floor 1e-15 |value|.
+
+    With sub_pole the analytic pole part d^j/ds^j (s-1)^(-1) is removed,
+    which makes the result entire; sums of such values over a character
+    with mean zero reproduce the L-function exactly.
     """
     lb = np.log(big)
     decay = np.exp(-s * lb)  # big^(-s)
@@ -340,30 +406,45 @@ def _em_finish(s: np.ndarray, main: np.ndarray, main_abs: np.ndarray, big: np.nd
     half = 0.5 * powers[j] * decay
 
     # Bernoulli corrections B_2i/(2i)! d^j/ds^j [(s)_{2i-1} big^(1-s-2i)]:
-    # big^(1-s-2i) times the Leibniz product of the jet of the rising
-    # factorial (s)_{2i-1} = s (s+1) ... (s+2i-2) and powers.  The rising
-    # jet starts from the constant 1, (1, 0, ..., 0), and each term
-    # multiplies it in place by the jets (s+c, 1) of its new factors s+c:
-    # row m of the product is row m (s+c) + m row m-1, top row first.
+    # the Leibniz product of powers and the jet of the rising factorial
+    # (s)_{2i-1} = s (s+1) ... (s+2i-2) times big^(1-s-2i), a constant
+    # factor of every row.  The rising jet starts from (big^(-s), 0, ..., 0)
+    # and each term multiplies it by the jets ((s+c)/big, 1/big) of its new
+    # factors: row m of the product is row m (s+c)/big + m/big row m-1, top
+    # row first.  So no row outgrows the terms it makes, and where big^(-s)
+    # underflows the rows are zeros.  The last factor leaves the jet of
+    # (s)_2M big^(-s-2M) for the remainder bound.
+    m2 = 2 * _BERNOULLI_PAIRS
+    inv = 1.0 / big
     rising = np.zeros((j + 1,) + s.shape, dtype=np.complex128)
-    rising[0] = 1.0
+    rising[0] = decay
     bern = np.zeros_like(s)
-    for i in range(1, _EM_BERNOULLI_PAIRS + 1):
-        for c in range(max(2 * i - 3, 0), 2 * i - 1):
-            sc = s + c
-            for m in range(j, 0, -1):
-                rising[m] = rising[m] * sc + m * rising[m - 1]
-            rising[0] *= sc
-        last = (_B_EVEN[i] / math.factorial(2 * i)) * jet.leibniz(rising, powers, j) \
-            * decay * big ** (1 - 2 * i)
-        bern += last
+    for c in range(m2):
+        sc = (s + c) * inv
+        for m in range(j, 0, -1):
+            rising[m] = rising[m] * sc + (m * inv) * rising[m - 1]
+        # not in place: numpy's in-place complex multiply of a one-element
+        # array can round differently from the same product in a batch
+        rising[0] = rising[0] * sc
+        if c % 2 == 0:  # rising holds (s)_{2i-1} big^(1-s-2i)
+            i = c // 2 + 1
+            bern += (_B_EVEN[i] / math.factorial(2 * i)) * jet.leibniz(rising, powers, j)
     if scale is not None:
-        tail, half, bern, last = scale * tail, scale * half, scale * bern, scale * last
+        tail, half, bern = scale * tail, scale * half, scale * bern
     value = main + tail + half + bern
-    # roundoff allowance calibrated against high-precision references: the
-    # direct sum loses ~5e-15 of its absolute-value mass, plus phase
-    # reduction error ~ eps * |Im s| per oscillating term
-    est = (4.0 * np.abs(last)
+
+    alpha = s.real + (m2 - 1)
+    pos = np.where(alpha > 0.0, alpha, 1.0)
+    # int_x^oo log^k(u) u^(-alpha-1) du = x^(-alpha) sum_l k!/(k-l)! lb^(k-l) / alpha^(l+1),
+    # and big |rising[i]| = |rho_i| x^(-alpha)
+    area = [sum(math.perm(k, l) * lb ** (k - l) / pos ** (l + 1) for l in range(k + 1))
+            for k in range(j + 1)]
+    bound = (4.0 * (2.0 * math.pi) ** -m2) * big \
+        * sum(math.comb(j, i) * np.abs(rising[i]) * area[j - i] for i in range(j + 1))
+    bound = np.where(alpha > 0.0, bound, np.inf)
+    if scale is not None:
+        bound = bound * np.abs(scale)
+    est = (bound
            + (5e-15 + 2e-16 * np.abs(s.imag)) * main_abs
            + 1e-15 * np.abs(value))
     return value, est
@@ -383,11 +464,10 @@ def hurwitz_zeta(s, a: float = 1.0, deriv: int = 0, *, with_error: bool = False,
     pole part d^deriv/ds^deriv 1/(s-1) is subtracted, giving an entire
     function that is valid at s = 1 as well.
 
-    Each point sums series_terms(Im s) direct terms, |Im s| rounded up to a
-    tier of _TIER terms above _EM_CUTOFF = 20, then the 12 Bernoulli
-    corrections B_2 .. B_24, so its value is a function of (s, a, deriv)
-    alone.  The error estimate is four times the last
-    Bernoulli correction plus a rounding allowance for the direct sum.
+    Each point sums series_terms(s) direct terms, then the 15 Bernoulli
+    corrections B_2 .. B_30, so its value is a function of (s, a, deriv)
+    alone.  The error estimate is the proven bound on the Euler-Maclaurin
+    remainder plus a rounding allowance for the direct sum (_em_finish).
     """
     check_order(deriv, _MAX_HURWITZ_DERIV, UnsupportedOrderError, "hurwitz_zeta deriv")
     if isinstance(a, (bool, np.bool_)) or not (0.0 < a <= 1.0):
@@ -397,7 +477,7 @@ def hurwitz_zeta(s, a: float = 1.0, deriv: int = 0, *, with_error: bool = False,
         raise PoleError("hurwitz_zeta pole at s = 1")
 
     flat = arr.ravel()
-    lengths = series_terms(flat.imag)
+    lengths = series_terms(flat)
     main = np.empty_like(flat)
     main_abs = np.empty(flat.shape, dtype=np.float64)
     for idx, n in tier_chunks(lengths):

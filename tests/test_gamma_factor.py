@@ -163,6 +163,16 @@ def test_fe_logderiv_grid_matches_scalar():
             assert complex(rows[j, i]) == fe_logderiv(datum, complex(s), j)
 
 
+def test_psi_rows_on_the_line_keep_their_bits():
+    # on the critical line the mirror rows are the conjugates of the direct
+    # ones; a point off the line sends the batch through the walk over both
+    line = 0.5 + 1j * np.linspace(5.0, 500.0, 3001)
+    for datum in _data():
+        rows = fe_logderiv_grid(datum, line, 5)
+        both = fe_logderiv_grid(datum, np.append(line, 0.6 + 10.0j), 5)[:, :-1]
+        assert np.array_equal(rows, both), datum.name
+
+
 def test_psi_order_cap_is_the_polygamma_cap():
     assert fe_logderiv_grid(builtin("zeta"), np.array([0.5 + 20.0j]), 16).shape == (17, 1)
     with pytest.raises(UnsupportedOrderError):

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from hardyz.catalog import builtin
 from hardyz.errors import DomainError, PoleError, UnsupportedOrderError
+from hardyz.evaluator import l_value_grid
 from hardyz.specfun import (_bernoulli_exact, _log_gamma_rows, hurwitz_zeta, log_gamma,
-                            polygamma, series_terms)
+                            polygamma, series_terms, tier_lengths)
 
 from oracles import (HURWITZ_REFS, LOGGAMMA_REFS, POLYGAMMA_REFS, STIELTJES_1,
                      fd_derivative)
@@ -243,11 +245,12 @@ def test_hurwitz_validation():
     with pytest.raises(PoleError):
         hurwitz_zeta(np.array([complex(1.0, 0.0)]))
     # a direct sum longer than 4e6 terms (a row of 1e9 would take ~24 GB) is
-    # refused before anything is allocated
+    # refused before anything is allocated; at Im s = 2e7 the remainder bound
+    # asks for 5.5e6 terms
     with pytest.raises(DomainError):
         hurwitz_zeta(complex(0.5, 1e9))
     with pytest.raises(DomainError):
-        hurwitz_zeta(np.array([complex(0.5, 10.0), complex(0.5, 4.1e6)]))
+        hurwitz_zeta(np.array([complex(0.5, 10.0), complex(0.5, 2e7)]))
 
 
 def test_hurwitz_repeat_call_determinism():
@@ -270,10 +273,46 @@ def test_hurwitz_vector_scalar_agreement():
             assert one[0] == vec[i] and one_est[0] == vec_est[i]
 
 
+def test_single_point_matches_batch():
+    # a value and its estimate have the same bits alone as in a batch of 2 to
+    # 8 points; these seeded batches hold points where an in-place complex
+    # multiply in the Euler-Maclaurin finish once rounded otherwise
+    zeta, chi4 = builtin("zeta"), builtin("chi4")
+    for seed in range(240, 266):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        ss = rng.uniform(-4.0, 3.0, n) + 1j * rng.uniform(-30.0, 30.0, n)
+        for j in range(3):
+            batch = hurwitz_zeta(ss, a=0.75, deriv=j, with_error=True)
+            for i in range(n):
+                one = hurwitz_zeta(ss[i:i + 1], a=0.75, deriv=j, with_error=True)
+                assert (one[0][0], one[1][0]) == (batch[0][i], batch[1][i]), (seed, j, ss[i])
+        for datum in (zeta, chi4):
+            batch = l_value_grid(datum, ss)
+            for i in range(n):
+                one = l_value_grid(datum, ss[i:i + 1])
+                assert (one[0][0], one[1][0]) == (batch[0][i], batch[1][i]), (datum.name, ss[i])
+
+
 def test_hurwitz_series_length_per_point():
-    im = np.array([0.0, 3.0, 20.0, 20.5, 52.0, 52.5, 499.2, -499.2])
-    n = series_terms(im)
-    assert list(n) == [20, 20, 20, 52, 52, 84, 500, 500]
-    for x, m in zip(im, n):
-        assert m >= max(20, math.ceil(abs(x))) and (m - 20) % 32 == 0
-    assert list(series_terms(im[:3], floor=320)) == [320, 320, 320]
+    # a length is a function of s alone, never above max(20, ceil|Im s|) on
+    # the tier of 32, and where it is below that, the remainder bound at
+    # abscissa N (below N + a for every shift a) is at or below the rounding
+    # allowance on the moduli of the first N - 1 terms
+    rng = np.random.default_rng(31)
+    ss = np.concatenate([rng.uniform(-4.0, 3.0, 200) + 1j * rng.uniform(-600.0, 600.0, 200),
+                         [0.5, 3j, 0.5 + 20j, 0.5 + 20.5j, -4.0 - 499.2j, 350.0 + 600j]])
+    n = series_terms(ss)
+    assert [int(series_terms(s)) for s in ss] == n.tolist()
+    cap = tier_lengths(ss.imag)
+    assert np.all(n >= 20) and np.all(n <= cap) and np.all((n - 20) % 32 == 0)
+    for s, m in zip(ss[n < cap], n[n < cap].tolist()):
+        alpha = s.real + 29.0
+        bound = 4.0 * math.prod(abs(s + c) for c in range(30)) * (2.0 * math.pi) ** -30 \
+            * m ** -alpha / alpha
+        allowance = (5e-15 + 2e-16 * abs(s.imag)) * math.fsum(k ** -s.real for k in range(1, m))
+        assert bound <= allowance, (s, m)
+    # about 0.4 |t| terms high on the strip, where the old rule took |t|
+    high = np.abs(ss.imag) >= 200.0
+    assert np.mean(n[high] / np.abs(ss.imag[high])) < 0.5
+    assert list(tier_lengths(np.array([0.0, 3.0, 20.0]), floor=320)) == [320, 320, 320]
