@@ -5,6 +5,12 @@ coefficients a(n) (through a provider object), the gamma-factor shape
 (Q, lambda_j, mu_j), the root number omega, and the order m_F of the pole
 at s = 1.  The degree is 2 * sum(lambda_j).
 
+The provider is the only part that knows its coefficient family: besides
+the coefficients it evaluates F over the box (values) and checks a new
+datum against its family's axioms (validate).  Two data are equal when
+their fields are, the provider included; a periodic provider compares by
+its table.
+
 Built-in data, all with real coefficients and omega = +1:
 
   zeta   Riemann zeta            Q = pi^(-1/2), lambda = (1/2,), mu = (0,)
@@ -17,8 +23,8 @@ Built-in data, all with real coefficients and omega = +1:
 
 Construction validates the axioms it can check cheaply: a(1) = 1, positive
 lambda, real nonnegative mu, omega = +-1, a coefficient growth bound, and
-(for the entries that converge there) a functional-equation residual at a
-generic point.
+the provider's own check: a functional-equation residual at a generic point
+for the periodic data, Hecke relations for the cusp form.
 """
 
 from __future__ import annotations
@@ -31,32 +37,90 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AxiomViolationError, CatalogError, DomainError, PrecisionError
+from .specfun import _EM_CUTOFF, _em_finish, power_tables, series_terms, tier_lengths
 
 _COEFF_CAP = 100_000
 
 
-class ConstantOneProvider:
-    """a(n) = 1 for all n (the Riemann zeta coefficients)."""
-
-    kind = "constant-one"
-    table = (1.0,)  # as a periodic table: mod 1
-
-    def block(self, n_max: int) -> np.ndarray:
-        return np.ones(n_max, dtype=np.float64)
-
-
+@dataclass(frozen=True)
 class PeriodicProvider:
-    """a(n) = table[n mod q]; covers Dirichlet characters."""
+    """a(n) = table[n mod q]: the Dirichlet characters, and zeta as q = 1
+    with table (1,).
 
-    kind = "periodic"
+    values continues the series to the whole box by Euler-Maclaurin per
+    residue class: with the direct sum over m <= q N,
 
-    def __init__(self, table: tuple[float, ...]):
-        self.table = tuple(float(x) for x in table)
+        F(s) = sum_a table[a] [ sum_{m = a mod q} m^(-s) + q^(-s) R(s, N + a/q) ],
+
+    a = 1..q and R the Euler-Maclaurin remainder of zeta(s, a/q) after its
+    first N terms.  Each point takes the shortest N whose remainder bound
+    meets its rounding allowance (specfun.series_terms), and the direct sums
+    of all classes come from one integer-power table per chunk of points.
+    """
+
+    table: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", tuple(float(x) for x in self.table))
+
+    @property
+    def kind(self) -> str:
+        """Display label: constant-one for zeta's table, else periodic."""
+        return "constant-one" if self.table == (1.0,) else "periodic"
 
     def block(self, n_max: int) -> np.ndarray:
         q = len(self.table)
         reps = np.arange(1, n_max + 1) % q
         return np.asarray(self.table, dtype=np.float64)[reps]
+
+    def values(self, datum: SelbergDatum, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, error estimates) of F over an array of checked points."""
+        table = self.table
+        q = len(table)
+        residues = [a for a in range(1, q + 1) if table[a % q] != 0.0]
+        # the factors of an m prime to q are prime to q, so a character's table
+        # needs no other rows
+        units_only = all(math.gcd(a, q) == 1 for a in residues)
+        flat = arr.ravel()
+        lengths = series_terms(flat)
+        main = np.empty((len(residues), flat.size), dtype=np.complex128)
+        main_abs = np.empty(main.shape, dtype=np.float64)
+        for idx, classes, tab in power_tables(flat, lengths, q, units_only):
+            cols = {r: (lo, hi) for r, lo, hi in classes}
+            mag = np.abs(tab)
+            for i, a in enumerate(residues):
+                lo, hi = cols[a % q]
+                main[i, idx] = tab[:, lo:hi].sum(axis=1)
+                main_abs[i, idx] = mag[:, lo:hi].sum(axis=1)
+        # one Euler-Maclaurin pass over every (class, point) pair
+        s_rows = np.broadcast_to(flat, main.shape).ravel()
+        big = (lengths + np.array([a / q for a in residues])[:, None]).ravel()
+        scale = None if q == 1 else np.exp(-s_rows * math.log(q))
+        # pole-subtracted remainders: the 1/(s-1) parts cancel exactly in a
+        # mean-zero table, so dropping them keeps s = 1 regular
+        value, est = _em_finish(s_rows, main.ravel(), main_abs.ravel(), big, 0, sum(table) == 0.0, scale)
+        vals = np.zeros_like(flat)
+        errs = np.zeros(flat.shape, dtype=np.float64)
+        for a, v, e in zip(residues, value.reshape(main.shape), est.reshape(main.shape)):
+            vals += table[a % q] * v
+            errs += abs(table[a % q]) * e
+        return vals.reshape(arr.shape), errs.reshape(arr.shape)
+
+    def validate(self, datum: SelbergDatum) -> None:
+        """Residual of F(s) = H(s) F(1 - s) at a generic point, the same
+        relative residual as that of xi(s) = omega xi(1 - s).  The series
+        continues to the whole box, so this is an independent consistency
+        check of (Q, lambdas, mus, omega), which make H, against the
+        coefficients.
+        """
+        from .evaluator import l_value
+        from .gamma_factor import fe_factor
+
+        s0 = 2.35 + 1.2j
+        a = l_value(datum, s0).value
+        b = fe_factor(datum, s0) * l_value(datum, 1.0 - s0).value
+        if abs(a - b) > 1e-8 * max(abs(a), abs(b)):
+            raise AxiomViolationError(f"{datum.name}: functional equation residual {abs(a - b):.2e} at s = {s0}")
 
 
 def _square_truncated(c: list[int]) -> list[int]:
@@ -85,6 +149,11 @@ class CuspFormProvider:
     sum (-1)^k (2k+1) q^(k(k+1)/2), and three squarings, one big-int
     product each, give the 24th power.  Results are cached and extended on
     demand.
+
+    values sums the truncated Dirichlet series where it converges and, for
+    Re s < 1/2, uses the reflection F(s) = H(s) F(1-s).  The error estimate
+    stays honest about the slow convergence near the critical line, which is
+    why that datum is gated as experimental.
     """
 
     kind = "cusp-form"
@@ -117,6 +186,58 @@ class CuspFormProvider:
         n = np.arange(1, n_max + 1, dtype=np.float64)
         return t / n ** 5.5
 
+    def _series(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The truncated series, max(320, ceil|Im s|) terms
+        (specfun.tier_lengths), and its tail estimate."""
+        lengths = tier_lengths(arr.imag, floor=16 * _EM_CUTOFF)
+        vals = np.empty_like(arr)
+        for idx, _, tab in power_tables(arr, lengths):
+            vals[idx] = (tab * self.block(tab.shape[1])).sum(axis=1)
+        # tail estimate: |a(n)| <= d(n), and sum_{n>N} d(n) n^(-sigma) has the
+        # closed form  N^(1-sigma) (log N / (sigma-1) + 1/(sigma-1)^2)  for
+        # sigma > 1; below that the bound is propagated from sigma = 1.05 and is
+        # honest about being large.
+        sig = np.minimum(arr.real, 350.0)
+        sig_eff = np.maximum(sig, 1.05)
+        ln = np.log(lengths)
+        tail = np.exp((1.0 - sig_eff) * ln) * (ln / (sig_eff - 1.0) + 1.0 / (sig_eff - 1.0) ** 2)
+        slack = np.where(sig < 1.05, np.exp((1.05 - sig) * ln), 1.0)
+        errs = tail * slack + 5e-15 * np.abs(vals)
+        return vals, errs
+
+    def values(self, datum: SelbergDatum, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, error estimates) of F over an array of checked points."""
+        from .gamma_factor import fe_factor
+
+        vals = np.empty_like(arr)
+        errs = np.empty(arr.shape, dtype=np.float64)
+        right = arr.real >= 0.5
+        if right.any():
+            vals[right], errs[right] = self._series(arr[right])
+        if (~right).any():
+            # reflect through the functional equation
+            pts = arr[~right]
+            mirror, merr = self._series(1.0 - pts)
+            hvals = fe_factor(datum, pts)
+            vals[~right] = hvals * mirror
+            errs[~right] = np.abs(hvals) * merr
+        return vals, errs
+
+    def validate(self, datum: SelbergDatum) -> None:
+        """Multiplicativity spot checks on the tau expansion."""
+        t = self.tau(12)
+        if t[0] != 1:
+            raise AxiomViolationError(f"{datum.name}: tau(1) != 1")
+        checks = [
+            (t[5], t[1] * t[2]),                  # tau(6) = tau(2) tau(3)
+            (t[9], t[1] * t[4]),                  # tau(10) = tau(2) tau(5)
+            (t[3], t[1] ** 2 - 2 ** 11),          # tau(4) = tau(2)^2 - 2^11
+            (t[8], t[2] ** 2 - 3 ** 11),          # tau(9) = tau(3)^2 - 3^11
+        ]
+        for got, want in checks:
+            if got != want:
+                raise AxiomViolationError(f"{datum.name}: Hecke relation failed ({got} != {want})")
+
 
 @dataclass(frozen=True)
 class SelbergDatum:
@@ -128,7 +249,7 @@ class SelbergDatum:
     mus: tuple[float, ...]
     omega: float                       # root number, +-1 for real data
     pole_order: int                    # m_F, order of the pole at s = 1
-    provider: object = field(compare=False, repr=False)
+    provider: object = field(repr=False)
     experimental: bool = False
 
     @property
@@ -160,44 +281,12 @@ def _validate_structure(d: SelbergDatum) -> None:
         raise AxiomViolationError(f"{d.name}: coefficient growth violates |a(n)| << n^(1/2)")
 
 
-def _validate_functional_equation(d: SelbergDatum) -> None:
-    """Residual of F(s) = H(s) F(1 - s) at a generic point, the same relative
-    residual as that of xi(s) = omega xi(1 - s).  For the built-in entries
-    with convergent continuation this is an independent consistency check of
-    (Q, lambdas, mus, omega), which make H, against the coefficients.
-    """
-    from .evaluator import l_value
-    from .gamma_factor import fe_factor
-
-    s0 = 2.35 + 1.2j
-    a = l_value(d, s0).value
-    b = fe_factor(d, s0) * l_value(d, 1.0 - s0).value
-    if abs(a - b) > 1e-8 * max(abs(a), abs(b)):
-        raise AxiomViolationError(f"{d.name}: functional equation residual {abs(a - b):.2e} at s = {s0}")
-
-
-def _validate_hecke(provider: CuspFormProvider) -> None:
-    """Multiplicativity spot checks on the tau expansion."""
-    t = provider.tau(12)
-    if t[0] != 1:
-        raise AxiomViolationError("delta: tau(1) != 1")
-    checks = [
-        (t[5], t[1] * t[2]),                  # tau(6) = tau(2) tau(3)
-        (t[9], t[1] * t[4]),                  # tau(10) = tau(2) tau(5)
-        (t[3], t[1] ** 2 - 2 ** 11),          # tau(4) = tau(2)^2 - 2^11
-        (t[8], t[2] ** 2 - 3 ** 11),          # tau(9) = tau(3)^2 - 3^11
-    ]
-    for got, want in checks:
-        if got != want:
-            raise AxiomViolationError(f"delta: Hecke relation failed ({got} != {want})")
-
-
 _SQRT_PI = math.sqrt(math.pi)
 
 
 def _build(name: str) -> SelbergDatum:
     if name == "zeta":
-        return SelbergDatum("zeta", 1.0 / _SQRT_PI, (0.5,), (0.0,), 1.0, 1, ConstantOneProvider())
+        return SelbergDatum("zeta", 1.0 / _SQRT_PI, (0.5,), (0.0,), 1.0, 1, PeriodicProvider((1.0,)))
     if name == "chi3":
         return SelbergDatum("chi3", math.sqrt(3.0 / math.pi), (0.5,), (0.5,), 1.0, 0,
                             PeriodicProvider((0.0, 1.0, -1.0)))
@@ -220,10 +309,7 @@ BUILTIN_NAMES = ("zeta", "chi3", "chi4", "chi5", "delta")
 def _builtin_cached(name: str) -> SelbergDatum:
     d = _build(name)
     _validate_structure(d)
-    if isinstance(d.provider, CuspFormProvider):
-        _validate_hecke(d.provider)
-    else:
-        _validate_functional_equation(d)
+    d.provider.validate(d)
     return d
 
 

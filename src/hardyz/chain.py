@@ -87,7 +87,7 @@ def _check_k(k: int, cap: int = _MAX_CHAIN) -> None:
 
 
 def coeff_stack_grid(datum: SelbergDatum, s_arr, k: int) -> np.ndarray:
-    """f_0 .. f_k over a batch of points, shape (k+1, n)."""
+    """f_0 .. f_k over a batch of points, shape (k+1,) + s_arr's shape."""
     _check_k(k)
     arr = np.asarray(s_arr, dtype=np.complex128)
     if k == 0:
@@ -161,19 +161,20 @@ def chain_derivative(datum: SelbergDatum, s: complex, k: int) -> complex:
 
 
 def z_grid(datum: SelbergDatum, t_arr, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z^(k) over a real grid: (values, imaginary residuals).
+    """Z^(k) over a real grid: (values, imaginary residuals), each in the
+    shape of t_arr.
 
     Z^(k) is even for even k and odd for odd k; negative t reduces to |t|.
     """
     _check_k(k)
     t = np.asarray(t_arr, dtype=np.float64)
     check_line(t)
-    vals, resid = _z_stack(datum, t, k)
-    return vals[k], resid[k]
+    vals, resid = _z_stack(datum, t.ravel(), k)
+    return vals[k].reshape(t.shape), resid[k].reshape(t.shape)
 
 
 def _z_stack(datum: SelbergDatum, t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Z^(0) .. Z^(k) on a checked real grid, shape (k+1, n) each: the
+    """Z^(0) .. Z^(k) on a checked 1-D real grid, shape (k+1, n) each: the
     rotations i^j F_j e^(i theta) of one chain_grid call and one theta walk."""
     tt = np.abs(t)
     _, big_f, _ = chain_grid(datum, 0.5 + 1j * tt, k)

@@ -11,12 +11,13 @@ mirror_sum_check  d/dt (Z^(k+1)/Z^(k)) against the mirrored zero sum
 
 The scan context (EvalContext) sets only the scan grid and the refinement
 tolerance, so only the functions that scan take it.  Scan results are
-cached in-process per (datum and its coefficient provider, k, range,
-context), in a bounded functools.lru_cache on _scan.  Scans pass whole
-grids to z_grid: every value is a function of (datum, t, k) alone,
-whatever batch it is computed in.  argument_S and contour_count take no
-context and share one arg-change integrator, _phase_walk, which evaluates
-all the points of one refinement round in one batch.
+cached in-process per (datum, k, range, context), in a bounded
+functools.lru_cache on _scan; a datum's equality covers its coefficient
+provider.  Scans pass whole grids to z_grid: every value is a function of
+(datum, t, k) alone, whatever batch it is computed in.  argument_S and
+contour_count take no context and share one arg-change integrator,
+_phase_walk, which evaluates all the points of one refinement round in one
+batch.
 
 The reports are frozen dataclasses with no rendering code of their own:
 fmtio.to_json prints them field by field, ZeroTable.to_csv_text goes
@@ -191,9 +192,7 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
     if not (SCAN_T_MIN <= t0 < t1 <= SCAN_T_MAX):
         raise RangeError(f"scan range must satisfy {SCAN_T_MIN} <= t0 < t1 <= {SCAN_T_MAX}")
     check_order(k, SCAN_K_MAX, RangeError, "scan order k")
-    # the provider is not part of datum equality, and two data that differ
-    # only in their coefficients must not share a table
-    return _scan(datum, datum.provider, int(k), float(t0), float(t1), ctx or DEFAULT_CONTEXT)
+    return _scan(datum, int(k), float(t0), float(t1), ctx or DEFAULT_CONTEXT)
 
 
 # A table serves every later call with the same arguments.  Consecutive
@@ -204,10 +203,8 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
 # hundred bytes and one of [5, 500] at k = 6 about 30 kB, so 512 of them
 # stay within 15 MB.
 @lru_cache(maxsize=512)
-def _scan(datum: SelbergDatum, provider, k: int, t0: float, t1: float,
-          ctx: EvalContext) -> ZeroTable:
-    """scan_zeros on validated arguments; provider is part of the cache key
-    only."""
+def _scan(datum: SelbergDatum, k: int, t0: float, t1: float, ctx: EvalContext) -> ZeroTable:
+    """scan_zeros on validated arguments."""
     grid = _scan_grid(datum, t0, t1, ctx)
     vals = z_grid(datum, grid, k)[0]
 

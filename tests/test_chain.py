@@ -123,6 +123,20 @@ def test_chain_grid_matches_scalar():
         cv = chain_value(datum, complex(ss[0]), k)
         assert complex(big_f[k, 0]) == cv.value
         assert complex(f[k, 0]) == cv.coeff
+    # any input shape gives (k+1,) + that shape, and z_grid arrays in the
+    # shape of t, with the bits of the 1-D call on the same points
+    grid = np.array([[2.0 + 9.0j, 0.5 + 26.0j, 4.0 + 13.0j],
+                     [-1.5 + 40.0j, 0.5 - 60.0j, 1.5 + 300.0j]])
+    heights = np.array([[18.0, 100.5, -33.0], [5.0, 250.0, 480.0]])
+    for k in (0, 2):
+        for shaped, t in ((grid, heights), (grid[0, 0], heights[0, 0])):
+            flat = chain_grid(datum, np.ravel(shaped), k)
+            for got, ref in zip(chain_grid(datum, shaped, k), flat):
+                assert got.shape == (k + 1,) + np.shape(shaped)
+                assert np.array_equal(got.reshape(k + 1, -1), ref)
+            for got, ref in zip(z_grid(datum, t, k), z_grid(datum, np.ravel(t), k)):
+                assert got.shape == np.shape(t)
+                assert np.array_equal(got.ravel(), ref)
 
 
 def test_z_values_multiprecision():

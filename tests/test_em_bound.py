@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hardyz import evaluator
+from hardyz import catalog
 from hardyz.catalog import builtin
 from hardyz.evaluator import l_value_grid
 
@@ -39,7 +39,7 @@ def test_bound_holds_with_short_series(monkeypatch, name):
     # estimate of four times the last of 12 terms falls short of the error
     # by a factor of 1.5 on these points
     datum = builtin(name)
-    monkeypatch.setattr(evaluator, "series_terms",
+    monkeypatch.setattr(catalog, "series_terms",
                         lambda s: np.ceil(np.abs(s) / (2.0 * np.pi)).astype(np.int64))
     rng = np.random.default_rng(47)
     ss = rng.uniform(-0.5, 1.5, 12) + 1j * rng.uniform(20.0, 500.0, 12)

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hardyz import evaluator
+from hardyz import catalog
 from hardyz.catalog import PeriodicProvider, SelbergDatum, builtin, coefficients
 from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import ContextError, DomainError, GeometryError, PoleError
@@ -88,12 +88,33 @@ def test_derivative_grid_shape_and_order_zero():
     assert vals.shape == (3, 2) and ests.shape == (3, 2)
     plain, _ = l_value_grid(datum, ss)
     assert np.max(np.abs(vals[0] - plain)) < 1e-11 * float(np.max(1.0 + np.abs(plain)))
+    # any input shape gives (j_max+1,) + that shape, with the bits of the
+    # 1-D call on the same points
+    grid = np.array([[2.0 + 5.0j, 0.5 + 30.0j, -1.0 + 7.0j],
+                     [1.5 - 40.0j, 0.2 + 100.0j, 3.0 + 0.5j]])
+    for j_max in (0, 2):
+        for shaped in (grid, grid[0, 0]):
+            flat = l_derivs_grid(datum, np.ravel(shaped), j_max)
+            for got, ref in zip(l_derivs_grid(datum, shaped, j_max), flat):
+                assert got.shape == (j_max + 1,) + np.shape(shaped)
+                assert np.array_equal(got.reshape(j_max + 1, -1), ref)
 
 
 def test_derivative_circle_pole_guard():
     # differentiation circle may not enclose or graze the s=1 pole
     with pytest.raises(GeometryError):
         l_derivs_grid(builtin("zeta"), np.array([complex(1.1, 0.0)]), 1)
+
+
+def test_provider_without_values_is_refused():
+    class BlockOnly:
+        def block(self, n_max):
+            return np.ones(n_max)
+
+    zeta = builtin("zeta")
+    bare = SelbergDatum("bare", zeta.q_factor, zeta.lambdas, zeta.mus, zeta.omega, 1, BlockOnly())
+    with pytest.raises(DomainError, match="no evaluation backend for provider BlockOnly"):
+        l_value_grid(bare, [2.0 + 1.0j])
 
 
 def test_box_guards():
@@ -160,7 +181,7 @@ def test_est_error_honest_against_refinement(monkeypatch):
     delta = builtin("delta", experimental=True)
     ss = (complex(2.2, 14.0), complex(1.4, 3.0))
     base = [l_value(delta, s) for s in ss]
-    monkeypatch.setattr(evaluator, "_EM_CUTOFF", 120)
+    monkeypatch.setattr(catalog, "_EM_CUTOFF", 120)
     for s, b in zip(ss, base):
         ref = l_value(delta, s)
         assert abs(b.value - ref.value) <= b.est_error + ref.est_error
@@ -202,7 +223,7 @@ def test_power_table_chunks_batch_invariant(name):
     # one series length n, one point more than a table chunk holds: the
     # batch, each single point and a mixed full batch give the same bits
     datum = builtin(name)
-    q = len(datum.provider.table) if name != "zeta" else 1
+    q = len(datum.provider.table)
     n = int(series_terms(0.3 + 490.0j))
     step = _TABLE_ELEMS // _power_plan(n, q, True).order.size
     line = 0.3 + 1j * np.linspace(300.0, 600.0, 6001)

@@ -13,7 +13,7 @@ import pytest
 
 import hardyz
 from hardyz import zerolab
-from hardyz.catalog import builtin
+from hardyz.catalog import PeriodicProvider, builtin
 from hardyz.chain import chain_grid, z_grid
 from hardyz.errors import (InconclusiveContourError, PrecisionError, ProximityError,
                            RangeError, TrackingError)
@@ -345,7 +345,8 @@ def test_scan_cache_returns_consistent_tables():
 
 def test_scan_cache_keeps_data_apart():
     # a datum renamed to another's name, or one that differs only in its
-    # coefficient provider (not part of datum equality), gets its own table
+    # coefficient provider, gets its own table; a hand-built copy of chi4
+    # with a fresh provider of chi4's table is chi4 and shares its table
     zeta, chi3, chi4 = builtin("zeta"), builtin("chi3"), builtin("chi4")
     renamed = replace(chi4, name="zeta")
     rewired = replace(chi4, provider=chi3.provider)
@@ -355,3 +356,7 @@ def test_scan_cache_keeps_data_apart():
     zerolab._scan.cache_clear()
     assert cached == [scan_zeros(d, 0, 10.0, 22.0) for d in (renamed, rewired)]
     assert len(cached[0].gammas) == 5
+    copy = replace(chi4, provider=PeriodicProvider(chi4.provider.table))
+    assert copy == chi4
+    table = scan_zeros(chi4, 0, 10.0, 22.0)
+    assert scan_zeros(copy, 0, 10.0, 22.0) is table

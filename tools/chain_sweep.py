@@ -20,7 +20,11 @@ context) on 800 seeded t in [5, 480] (default_rng(2028),
 one generator for the four data in the same order), and, on the points of
 zeta, the values and error estimates of
 hurwitz_zeta for deriv 0..4, a in {1, 1/4, 3/4, 1/3}, with and without
-sub_pole.
+sub_pole.  Last come the experimental datum delta's values and error
+estimates of l_value_grid on 800 seeded points s in [-1.5, 2.5] + i[5, 480],
+on both sides of Re s = 1/2 where its series reflects, and the values and
+imaginary residuals of z_grid(delta, t, k) for k = 0..2 on 200 seeded t in
+[10, 60] (one default_rng(2029) for both, points first).
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ POINTS = 800
 TAIL_POINTS = 100
 K = 8
 SHIFTS = (("1", 1.0), ("1/4", 0.25), ("3/4", 0.75), ("1/3", 1.0 / 3.0))
+DELTA_HEIGHTS = 200
+DELTA_K = 2
 
 
 def sweep_points() -> dict[str, np.ndarray]:
@@ -62,7 +68,7 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
     from hardyz.catalog import builtin
-    from hardyz.chain import _z_stack, chain_coeff_tail, chain_grid
+    from hardyz.chain import _z_stack, chain_coeff_tail, chain_grid, z_grid
     from hardyz.evaluator import l_derivs_grid, l_value_grid
     from hardyz.specfun import hurwitz_zeta
 
@@ -95,6 +101,16 @@ def main(argv: list[str]) -> int:
                 tag = f"hurwitz_zeta a={label} deriv={deriv} sub_pole={sub_pole}"
                 digest(f"{tag} value", vals)
                 digest(f"{tag} est", errs)
+    delta = builtin("delta", experimental=True)
+    rng = np.random.default_rng(2029)
+    s = rng.uniform(-1.5, 2.5, POINTS) + 1j * rng.uniform(5.0, 480.0, POINTS)
+    vals, errs = l_value_grid(delta, s)
+    digest("delta l_value_grid value", vals)
+    digest("delta l_value_grid est", errs)
+    t = rng.uniform(10.0, 60.0, DELTA_HEIGHTS)
+    for k in range(DELTA_K + 1):
+        for label, row in zip(("Z", "resid"), z_grid(delta, t, k)):
+            digest(f"delta z_grid {label} k={k}", row)
     return 0
 
 
