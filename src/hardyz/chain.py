@@ -46,8 +46,8 @@ from . import jet
 from .catalog import SelbergDatum
 from .errors import PrecisionError, UnsupportedOrderError, check_order
 from .evaluator import l_derivs_grid
-from .gamma_factor import (_log_gamma_sum, check_box, check_line, check_psi_domain,
-                           fe_logderiv_grid, theta_grid)
+from .gamma_factor import (_line_walk, _log_gamma_sum, check_box, check_line,
+                           check_psi_domain, fe_logderiv_grid)
 
 _MAX_CHAIN = 8
 # |f_k| or |psi/2| at or below this counts as vanishing, and the ratio that
@@ -175,10 +175,15 @@ def z_grid(datum: SelbergDatum, t_arr, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _z_stack(datum: SelbergDatum, t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Z^(0) .. Z^(k) on a checked 1-D real grid, shape (k+1, n) each: the
-    rotations i^j F_j e^(i theta) of one chain_grid call and one theta walk."""
+    rotations i^j F_j e^(i theta), with theta and the psi rows of f_1 .. f_k
+    from one log Gamma walk (gamma_factor._line_walk) and F^(0..k) from one
+    Cauchy circle."""
     tt = np.abs(t)
-    _, big_f, _ = chain_grid(datum, 0.5 + 1j * tt, k)
-    th, _ = theta_grid(datum, tt)
+    s = 0.5 + 1j * tt
+    check_psi_domain(datum, s)
+    th, psi = _line_walk(datum, tt, k)
+    dv, _ = l_derivs_grid(datum, s, k)
+    big_f = jet.mul(jet.exp(-0.5 * psi, k), dv)
     phase = np.exp(1j * th)
     w = np.array([(1j) ** j * big_f[j] * phase for j in range(k + 1)])
     parity = np.where(t < 0, (-1.0) ** np.arange(k + 1)[:, None], 1.0)

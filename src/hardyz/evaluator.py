@@ -98,11 +98,12 @@ def l_derivs_grid(datum: SelbergDatum, s_arr, j_max: int) -> tuple[np.ndarray, n
     est = np.empty((j_max + 1, flat.size), dtype=np.float64)
     out[0] = vals[:flat.size]
     est[0] = errs[:flat.size]
-    mean_err = ne.mean(axis=0)
+    # every sum over the nodes runs node by node in a fixed order, so each
+    # value and estimate is the same in any batch: a BLAS product may regroup
+    # the sum, and mean() sums one column pairwise but many row by row
+    mean_err = np.cumsum(ne, axis=0)[-1] / m_nodes
     for j in range(1, j_max + 1):
         w = np.exp(-1j * j * phi) / m_nodes            # (M,)
-        # summed node by node in a fixed order, so each value is the same in
-        # any batch (a BLAS product may regroup the sum)
         out[j] = math.factorial(j) / rho ** j * np.cumsum(w[:, None] * nv, axis=0)[-1]
         est[j] = math.factorial(j) / rho ** j * (mean_err + 2e-16 * np.abs(nv).max(axis=0))
     shape = (j_max + 1,) + arr.shape

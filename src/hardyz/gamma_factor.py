@@ -24,6 +24,8 @@ theta used to fold F into the real function Z.
 The gamma factor is read in one place, _log_gamma_sum: L(s) = sum_j
 log Gamma(lambda_j s + mu_j) and its s-derivatives, from one walk of
 specfun._log_gamma_rows.  H, psi, theta and chain's xi_k are written in L.
+On the critical line one walk of the direct arguments gives theta and psi
+together (_line_walk), which is how chain._z_stack reads both.
 """
 
 from __future__ import annotations
@@ -135,28 +137,43 @@ def fe_factor(datum: SelbergDatum, s):
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _psi_rows(datum: SelbergDatum, mirror: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """psi^(m) = -2 log Q [m = 0] - (-1)^m mirror[m] - direct[m] for every
+    row m, from the rows L^(m+1) at the mirror point 1 - s and at s."""
+    sign = ((-1.0) ** np.arange(direct.shape[0])).reshape((-1,) + (1,) * (direct.ndim - 1))
+    out = np.zeros(direct.shape, dtype=np.complex128)
+    out[:1] = -2.0 * math.log(datum.q_factor)  # no row 0 when no rows are asked for
+    out -= sign * mirror + direct
+    return out
+
+
+def _line_walk(datum: SelbergDatum, t: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta(t) and psi^(m)(1/2 + it) for m < k, shape (k,) + t.shape, from
+    one walk over the direct arguments lambda_j (1/2 + it) + mu_j for the
+    rows L^(0..k).  theta = t log Q + Im L(1/2 + it), less pi/2 when omega
+    < 0.  On the line 1 - s is the conjugate of s and, the mu being real, so
+    is each mirror argument of its direct one: the mirror rows of psi are the
+    conjugates of the direct rows, with the same bits."""
+    lg = _log_gamma_sum(datum, 0.5 + 1j * t, range(k + 1))
+    theta = t * math.log(datum.q_factor) + lg[0].imag
+    if datum.omega < 0:
+        theta -= 0.5 * math.pi
+    return theta, _psi_rows(datum, lg[1:].conj(), lg[1:])
+
+
 def fe_logderiv_grid(datum: SelbergDatum, s_arr: np.ndarray, max_order: int) -> np.ndarray:
-    """psi(s) and derivatives, rows 0..max_order over a batch of points:
-    psi^(m)(s) = -2 log Q [m = 0] - (-1)^m L^(m+1)(1-s) - L^(m+1)(s), from
-    one walk over the mirror and direct arguments.  When every point lies on
-    the critical line, 1 - s is the conjugate of s and, the mu being real,
-    so is each mirror argument of its direct one: the walk over the direct
-    arguments alone gives the mirror rows as its conjugates, with the same
-    bits."""
+    """psi(s) and derivatives, rows 0..max_order over a batch of points,
+    from one walk over the mirror and direct arguments (see _psi_rows); when
+    every point lies on the critical line, the walk over the direct
+    arguments alone (see _line_walk)."""
     check_order(max_order, _MAX_POLYGAMMA, UnsupportedOrderError, "psi derivative order")
     arr = np.asarray(s_arr, dtype=np.complex128)
     check_psi_domain(datum, arr)
-    rows = range(1, max_order + 2)
     if np.all(arr.real == 0.5):
-        direct = _log_gamma_sum(datum, arr, rows)
-        mirror = direct.conj()
-    else:
-        mirror, direct = _log_gamma_sum(datum, np.stack([1.0 - arr, arr]), rows).swapaxes(0, 1)
-    sign = ((-1.0) ** np.arange(max_order + 1)).reshape((-1,) + (1,) * arr.ndim)
-    out = np.zeros((max_order + 1,) + arr.shape, dtype=np.complex128)
-    out[0] = -2.0 * math.log(datum.q_factor)
-    out -= sign * mirror + direct
-    return out
+        return _line_walk(datum, arr.imag, max_order + 1)[1]
+    rows = range(1, max_order + 2)
+    mirror, direct = _log_gamma_sum(datum, np.stack([1.0 - arr, arr]), rows).swapaxes(0, 1)
+    return _psi_rows(datum, mirror, direct)
 
 
 def fe_logderiv(datum: SelbergDatum, s: complex, order: int = 0) -> complex:
@@ -166,17 +183,12 @@ def fe_logderiv(datum: SelbergDatum, s: complex, order: int = 0) -> complex:
 
 
 def theta_grid(datum: SelbergDatum, t_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """theta(t) and theta'(t) over a real grid, both real arrays:
-    theta = t log Q + Im L(1/2 + it) and theta' = log Q + Re L'(1/2 + it),
-    from one walk."""
+    """theta(t) and theta'(t) = -psi(1/2 + it)/2 over a real grid, both real
+    arrays, from one walk (see _line_walk)."""
     t = np.asarray(t_arr, dtype=np.float64)
     check_line(t)
-    lg = _log_gamma_sum(datum, 0.5 + 1j * t, range(2))
-    theta = t * math.log(datum.q_factor) + lg[0].imag
-    theta_p = math.log(datum.q_factor) + lg[1].real
-    if datum.omega < 0:
-        theta -= 0.5 * math.pi
-    return theta, theta_p
+    theta, psi = _line_walk(datum, t, 1)
+    return theta, -0.5 * psi[0].real
 
 
 def theta(datum: SelbergDatum, t: float) -> PhasePoint:

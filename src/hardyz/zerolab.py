@@ -1,7 +1,8 @@
 """Zero tables and structural checks on Z^(k).
 
 scan_zeros        sign-scan on a density-matched grid, brackets refined by
-                  safeguarded Illinois (regula-falsi) steps
+                  safeguarded Halley steps at k >= 1 and Illinois
+                  (regula-falsi) steps at k = 0
 interlace_audit   zeros of Z^(k+1) between consecutive zeros of Z^(k)
 argument_S        S(T) by a phase walk of F_k
 count_compare     on-line count against theta/pi + S(T)
@@ -14,7 +15,11 @@ tolerance, so only the functions that scan take it.  Scan results are
 cached in-process per (datum, k, range, context), in a bounded
 functools.lru_cache on _scan; a datum's equality covers its coefficient
 provider.  Scans pass whole grids to z_grid: every value is a function of
-(datum, t, k) alone, whatever batch it is computed in.  argument_S and
+(datum, t, k) alone, whatever batch it is computed in.  At k >= 1 a
+refinement round takes Z^(k), Z^(k+1) and Z^(k+2) from one chain._z_stack
+call, since the Cauchy circle behind Z^(k) gives the two extra rows at no
+extra L-value; at k = 0 they would cost that circle, 64 L-values a point,
+so k = 0 refines by Illinois steps on Z alone.  argument_S and
 contour_count take no context and share one arg-change integrator,
 _phase_walk, which evaluates all the points of one refinement round in one
 batch.
@@ -139,44 +144,100 @@ def _scan_grid(datum: SelbergDatum, t0: float, t1: float, ctx: EvalContext) -> n
     return np.array(pts)
 
 
-def _refine_brackets(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-                     fhi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _refine_brackets(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
+                     tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shrink sign-change brackets of f until each is at most tol wide.
 
-    f maps an array of abscissae to values; flo and fhi are f at lo and hi,
-    of opposite signs.  Each round is one call of f on the brackets still
-    open.  A step is an Illinois regula-falsi step: the end kept twice in a
-    row has its stored value halved, so the secant cannot stall at one end.
-    Steps are clamped 0.45 tol inside the bracket, which closes it once the
-    secant estimate sits within that distance of an end.  A bracket whose
-    width has not halved in three rounds bisects instead: a healthy bracket
-    often keeps one end for two rounds before the Illinois step jumps past
-    the zero, and a two-round test would bisect in place of that jump.  A
-    value of exactly 0.0 closes its bracket at that point.
+    f maps an array of abscissae to rows over them, f alone (one row, or a
+    1-D array) or f, f' and f'', and the number of rows picks the step
+    rule.  flo and fhi are f at lo and hi, of opposite signs.  Each round is
+    one call of f on the brackets still open, and the first point of every
+    bracket is its regula-falsi point.
+
+    One row: Illinois steps.  The end kept twice in a row has its stored
+    value halved, so the secant cannot stall at one end.
+
+    Three rows: Halley steps delta = N/(1 + c N), N = -f/f', c = f''/(2 f'),
+    from the last point.  A step that is not finite, leaves the bracket or
+    is longer than half the step before it (after a bisection: than the
+    bracket) bisects instead.  Once the predicted error |c| delta^2 of a
+    step y is below 0.1 tol, the next round evaluates the triple y - h, y,
+    y + h with h = 0.45 tol.  When f has opposite signs at y - h and y + h
+    the bracket closes there, with y as its zero and |f(y)| as its
+    residual; a triple that does not straddle the zero still tightens the
+    bracket, and a bisection follows it.
+
+    Shared: a bracket whose width has not halved in three rounds bisects,
+    unless its closing triple is due (a healthy Illinois bracket often keeps
+    one end for two rounds before the step jumps past the zero, and a
+    two-round test would bisect in place of that jump).  Points are clamped
+    0.45 tol inside the bracket, which closes it once a step sits within
+    that distance of an end; a closing triple is clamped inside the start
+    bracket only, so that a centre within h of an end keeps its place and
+    the triple reaches past that end.  A point moves an end only from inside
+    the bracket, so after every point lo < hi holds with f of opposite signs
+    at the ends.  A value of exactly 0.0 closes its bracket at that point.
+
+    Returns (lo, hi, gamma, residual): gamma is the centre of the closing
+    triple or else the midpoint, and residual is |f(gamma)| where a triple
+    gave it and NaN elsewhere.
     """
     lo, hi, flo, fhi = (np.array(a, dtype=np.float64) for a in (lo, hi, flo, fhi))
-    kept = np.zeros(lo.size, dtype=np.int8)  # +1: lo moved last round, -1: hi did
-    past = np.full((3, lo.size), np.inf)  # widths one, two, three rounds ago
+    n, h, start = lo.size, 0.45 * tol, np.array([lo, hi])
+    kept = np.zeros(n, dtype=np.int8)  # +1: lo moved last round, -1: hi did
+    past = np.full((3, n), np.inf)  # widths one, two, three rounds ago
+    # the Halley rule's next point (NaN: bisect), the length of its last
+    # step and whether its closing triple is due; the Illinois rule reads
+    # the stored end values, the Halley rule only their signs
+    nxt, step, due = np.full(n, np.nan), np.full(n, np.inf), np.zeros(n, dtype=bool)
+    gamma, residual = np.full(n, np.nan), np.full(n, np.nan)
+    halley = False
     live = np.flatnonzero(hi - lo > tol)
     while live.size:
         a, b, fa, fb = lo[live], hi[live], flo[live], fhi[live]
         w = b - a
-        x = np.where(w > 0.5 * past[2, live], a + 0.5 * w, b - fb * (w / (fb - fa)))
-        x = np.clip(x, a + 0.45 * tol, b - 0.45 * tol)
-        fx = f(x)
-        zero = fx == 0.0
-        to_lo = np.sign(fx) == np.sign(fa)
-        to_hi = ~(to_lo | zero)
-        moved_lo, moved_hi, hit = live[to_lo], live[to_hi], live[zero]
-        fhi[moved_lo[kept[moved_lo] == 1]] *= 0.5
-        flo[moved_hi[kept[moved_hi] == -1]] *= 0.5
-        lo[moved_lo], flo[moved_lo], kept[moved_lo] = x[to_lo], fx[to_lo], 1
-        hi[moved_hi], fhi[moved_hi], kept[moved_hi] = x[to_hi], fx[to_hi], -1
-        lo[hit] = hi[hit] = x[zero]
+        x = nxt[live] if halley else b - fb * (w / (fb - fa))
+        slow = ((w > 0.5 * past[2, live]) & ~due[live]) | np.isnan(x)
+        tri = due[live] & ~slow
+        x = np.clip(np.where(slow, a + 0.5 * w, x), np.where(tri, start[0, live], a) + h,
+                    np.where(tri, start[1, live], b) - h)
+        trio, xm, xp = live[tri], x[tri] - h, x[tri] + h
+        rows = np.atleast_2d(f(np.concatenate([xm, x, xp])))
+        halley = rows.shape[0] == 3
+        m, centre = xm.size, slice(xm.size, xm.size + x.size)
+        fm, fx, fp = rows[0, :m], rows[0, centre], rows[0, centre.stop:]
+        for idx, p, fv in ((trio, xm, fm), (live, x, fx), (trio, xp, fp)):
+            inside = (lo[idx] < p) & (p < hi[idx])
+            zero = inside & (fv == 0.0)
+            to_lo = inside & (np.sign(fv) == np.sign(flo[idx]))
+            to_hi = inside & ~(to_lo | zero)
+            moved_lo, moved_hi, hit = idx[to_lo], idx[to_hi], idx[zero]
+            fhi[moved_lo[kept[moved_lo] == 1]] *= 0.5
+            flo[moved_hi[kept[moved_hi] == -1]] *= 0.5
+            lo[moved_lo], flo[moved_lo], kept[moved_lo] = p[to_lo], fv[to_lo], 1
+            hi[moved_hi], fhi[moved_hi], kept[moved_hi] = p[to_hi], fv[to_hi], -1
+            lo[hit] = hi[hit] = p[zero]
+        shut = (np.sign(fm) * np.sign(fp) < 0) & (start[0, trio] <= xm) & (xp <= start[1, trio])
+        idx = trio[shut]
+        lo[idx], hi[idx], flo[idx], fhi[idx] = xm[shut], xp[shut], fm[shut], fp[shut]
+        gamma[idx], residual[idx] = x[tri][shut], np.abs(fx[tri][shut])
+        if halley:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                newton = -fx / rows[1, centre]
+                c = rows[2, centre] / (2.0 * rows[1, centre])
+                delta = newton / (1.0 + c * newton)
+                y = x + delta
+                ok = (np.isfinite(y) & (lo[live] < y) & (y < hi[live])
+                      & (np.abs(delta) <= 0.5 * step[live]) & ~tri)
+                due[live] = ok & (np.abs(c) * delta ** 2 < 0.1 * tol)
+            nxt[live] = np.where(ok, y, np.nan)
+            step[live] = np.where(ok, np.abs(delta), hi[live] - lo[live])
         past[1:, live] = past[:-1, live]
         past[0, live] = w
         live = live[hi[live] - lo[live] > tol]
-    return lo, hi
+    mid = np.isnan(gamma)
+    gamma[mid] = 0.5 * (lo[mid] + hi[mid])
+    return lo, hi, gamma, residual
 
 
 def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
@@ -184,10 +245,15 @@ def scan_zeros(datum: SelbergDatum, k: int, t0: float, t1: float,
     """Sign-scan [t0, t1] for zeros of Z^(k) and refine each bracket.
 
     The grid step tracks the local zero density (scan_safety times the mean
-    gap).  Each sign-change bracket shrinks to refine_tol by safeguarded
-    Illinois steps (see _refine_brackets) and its midpoint is the reported
-    zero.  Near-tangential dips of |Z^(k)| without a sign change are listed
-    as advisory t values.  Tables are cached (see _scan).
+    gap).  Each sign-change bracket shrinks to refine_tol (see
+    _refine_brackets): at k >= 1 by safeguarded Halley steps on Z^(k),
+    Z^(k+1) and Z^(k+2), ending in a closing triple y, y +- 0.45 refine_tol
+    whose centre is the reported zero and gives its residual; at k = 0,
+    where Z' would cost a Cauchy circle per point, by Illinois steps, with
+    the bracket midpoint as the zero.  Every reported zero lies within
+    refine_tol/2 of both ends of its bracket.  Near-tangential dips of
+    |Z^(k)| without a sign change are listed as advisory t values.  Tables
+    are cached (see _scan).
     """
     if not (SCAN_T_MIN <= t0 < t1 <= SCAN_T_MAX):
         raise RangeError(f"scan range must satisfy {SCAN_T_MIN} <= t0 < t1 <= {SCAN_T_MAX}")
@@ -211,11 +277,16 @@ def _scan(datum: SelbergDatum, k: int, t0: float, t1: float, ctx: EvalContext) -
     exact = np.flatnonzero(vals == 0.0)
     change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
 
-    lo, hi = _refine_brackets(lambda x: z_grid(datum, x, k)[0],
-                              grid[change], grid[change + 1], vals[change], vals[change + 1],
-                              ctx.refine_tol)
-    gamma = 0.5 * (lo + hi)
-    residual = np.abs(z_grid(datum, gamma, k)[0]) if gamma.size else gamma
+    def evaluate(x):
+        # Z^(k+1) and Z^(k+2) come with the Cauchy circle that Z^(k) needs at
+        # k >= 1; at k = 0 they would cost a circle of 64 L-values per point
+        return _z_stack(datum, x, k + 2)[0][k:] if k else z_grid(datum, x, 0)[0]
+
+    lo, hi, gamma, residual = _refine_brackets(evaluate, grid[change], grid[change + 1],
+                                               vals[change], vals[change + 1], ctx.refine_tol)
+    open_res = np.isnan(residual)
+    if open_res.any():
+        residual[open_res] = np.abs(z_grid(datum, gamma[open_res], k)[0])
     width = hi - lo
 
     records = sorted(

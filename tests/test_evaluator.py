@@ -189,16 +189,18 @@ def test_est_error_honest_against_refinement(monkeypatch):
 
 def test_grid_matches_scalar():
     # each point sizes its own series, so a point gives the same bits alone,
-    # in a mixed batch and through the derivative circle
-    ss = np.array([complex(0.5, 12.0), complex(1.7, 44.0), complex(-1.5, 420.0)])
+    # in a mixed batch and through the derivative circle, estimates included
+    ss = np.array([complex(0.5, 12.0), complex(1.7, 44.0), complex(-1.5, 420.0), 2 + 9j])
     for name in ("zeta", "chi4", "chi5"):
         datum = builtin(name)
         grid, grid_est = l_value_grid(datum, ss)
-        derivs, _ = l_derivs_grid(datum, ss, 2)
+        derivs, derivs_est = l_derivs_grid(datum, ss, 2)
         for i, s in enumerate(ss):
             one = l_value(datum, s)
             assert (one.value, one.est_error) == (complex(grid[i]), float(grid_est[i]))
-            assert np.array_equal(l_derivs_grid(datum, ss[i:i + 1], 2)[0][:, 0], derivs[:, i])
+            vals, est = l_derivs_grid(datum, ss[i:i + 1], 2)
+            assert np.array_equal(vals[:, 0], derivs[:, i])
+            assert np.array_equal(est[:, 0], derivs_est[:, i])
 
 
 def test_padded_batches_bitwise_equal():

@@ -70,28 +70,36 @@ def test_z_grid_batch_invariance(name):
 
 
 def _refine_checked(f, lo, hi, tol=1e-9):
-    """Refine with _refine_brackets and check its contract; returns the
-    final ends and the number of points each round evaluated."""
+    """Refine with _refine_brackets and check its contract for either step
+    rule (f returns one row or three); returns the final ends, the zeros
+    and the points each round evaluated."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    sizes = []
+    rounds = []
 
     def counted(x):
-        sizes.append(x.size)
+        rounds.append(x)
         return f(x)
 
-    a, b = _refine_brackets(counted, lo, hi, f(lo), f(hi), tol)
-    fa, fb = f(a), f(b)
+    def value(x):
+        return np.atleast_2d(f(x))[0]
+
+    a, b, gamma, residual = _refine_brackets(counted, lo, hi, value(lo), value(hi), tol)
+    fa, fb = value(a), value(b)
     assert np.all(b - a <= tol)
     assert np.all((lo <= a) & (b <= hi))
     assert np.all((np.sign(fa) * np.sign(fb) < 0) | ((a == b) & (fa == 0.0)))
-    assert len(sizes) <= 2 * math.ceil(math.log2(np.max(hi - lo) / tol))
-    return a, b, sizes
+    assert np.all((a <= gamma) & (gamma <= b))
+    assert np.all((gamma - a <= 0.5 * tol) & (b - gamma <= 0.5 * tol))
+    given = ~np.isnan(residual)
+    assert np.array_equal(residual[given], np.abs(value(gamma[given])))
+    assert len(rounds) <= 2 * math.ceil(math.log2(np.max(hi - lo) / tol))
+    return a, b, gamma, rounds
 
 
 def test_refine_closes_on_exact_zero():
-    a, b, sizes = _refine_checked(lambda x: 3.0 * (x - 0.25), [0.0], [1.0])
+    a, b, _, rounds = _refine_checked(lambda x: 3.0 * (x - 0.25), [0.0], [1.0])
     assert a[0] == b[0] == 0.25
-    assert sizes == [1]
+    assert len(rounds) == 1
 
 
 def test_refine_steep_flat_bottomed():
@@ -104,35 +112,124 @@ def test_refine_steep_flat_bottomed():
         x = hi - f(hi) * (hi - lo) / (f(hi) - f(lo))
         lo, hi = (x, hi) if f(x) < 0 else (lo, x)
     assert hi - lo > 0.01
-    a, _, sizes = _refine_checked(f, [0.0], [1.0])
+    a, _, _, rounds = _refine_checked(f, [0.0], [1.0])
     assert abs(a[0] - 0.5 ** 0.1) < 1e-9
-    assert len(sizes) <= 15
+    assert len(rounds) <= 15
+    # Halley steps on the same function
+    _, _, gamma, rounds = _refine_checked(lambda x: np.array([f(x), 10 * x ** 9, 90 * x ** 8]),
+                                          [0.0], [1.0])
+    assert abs(gamma[0] - 0.5 ** 0.1) <= 0.5e-9
+    assert len(rounds) <= 8
 
 
 def test_refine_brackets_close_at_different_rounds():
     lo = [3.0, 6.2, -1.5, math.pi - 4e-10]
     hi = [3.3, 6.3, 1.4, math.pi + 5e-10]
-    a, b, sizes = _refine_checked(np.sin, lo, hi)
+    a, b, _, rounds = _refine_checked(np.sin, lo, hi)
     assert np.allclose(0.5 * (a + b), [math.pi, 2.0 * math.pi, 0.0, math.pi], atol=1e-9)
     # the last bracket is already narrow enough and is never evaluated; the
     # others drop out of the batch as they close
+    sizes = [x.size for x in rounds]
     assert sizes[0] == 3
     assert all(m >= n for m, n in zip(sizes, sizes[1:])) and sizes[-1] < sizes[0]
+    # Halley steps: one point per open bracket, three for a closing triple
+    _, _, gamma, rounds = _refine_checked(lambda x: np.array([np.sin(x), np.cos(x), -np.sin(x)]),
+                                          lo, hi)
+    assert np.allclose(gamma, [math.pi, 2.0 * math.pi, 0.0, math.pi], atol=0.5e-9)
+    assert rounds[0].size == 3 and rounds[-1].size % 3 == 0
+
+
+def test_refine_halley_closes_polynomial_roots():
+    roots = np.array([-2.2, 0.3, 1.7, 3.1, 4.05])
+    poly = np.polynomial.Polynomial.fromroots(roots)
+    jet = (poly, poly.deriv(), poly.deriv(2))
+
+    def f(x):
+        return np.array([p(x) for p in jet])
+
+    lo, hi = roots - [0.12, 0.17, 0.08, 0.2, 0.05], roots + [0.13, 0.09, 0.2, 0.05, 0.07]
+    _, _, gamma, rounds = _refine_checked(f, lo, hi)
+    assert np.all(np.abs(gamma - roots) <= 0.5e-9)
+    # the regula-falsi points, one Halley round and the closing triples
+    assert [x.size for x in rounds] == [5, 5, 15]
+
+
+@pytest.mark.parametrize("lie", ["sign", "zero", "nan"])
+def test_refine_halley_falls_back_to_bisection(lie):
+    # derivative rows that lie: every Halley step is refused, and after the
+    # regula-falsi point each point halves the bracket
+    fake = {"sign": lambda x: (-np.cos(x), np.sin(x)),
+            "zero": lambda x: (0.0 * x, 0.0 * x),
+            "nan": lambda x: (np.full_like(x, np.nan),) * 2}[lie]
+
+    def f(x):
+        return np.array([np.sin(x), *fake(x)])
+
+    _, _, gamma, rounds = _refine_checked(f, [3.0], [3.4])
+    assert abs(gamma[0] - math.pi) <= 0.5e-9
+    assert all(x.size == 1 for x in rounds)
+    for r in range(1, len(rounds)):
+        seen = [3.0, 3.4] + [float(x[0]) for x in rounds[:r]]
+        assert any(rounds[r][0] == p + 0.5 * (q - p) for p in seen for q in seen if p < q)
+
+
+@pytest.mark.parametrize("noise", [2e-10, 2e-6])
+def test_refine_halley_keeps_the_bracket_under_noise(noise):
+    # f changes sign at random within noise/2 of each root; the point each
+    # round takes in a bracket (the centre of a closing triple, whose ends
+    # may reach past the bracket) must sit between consecutive points seen
+    # before, where f changes sign, so the bracket stayed valid after
+    # every round
+    rng = np.random.default_rng(41)
+    roots = np.arange(40) + rng.uniform(0.2, 0.8, 40)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+
+    def f(x):
+        u = 2.0 * (x - roots[np.floor(x).astype(int)])
+        return np.array([np.sin(u) + noise * np.cos(1e13 * x + phase), 2.0 * np.cos(u),
+                         -4.0 * np.sin(u)])
+
+    lo, hi = np.arange(40) + 0.0, np.arange(40) + 1.0 - 1e-9
+    tol = 1e-9
+    seen = []
+    a, b, gamma, _ = _refine_brackets(lambda x: (seen.append(x), f(x))[1], lo, hi,
+                                      f(lo)[0], f(hi)[0], tol)
+    points = {i: [lo[i], hi[i]] for i in range(40)}
+    for x in seen:
+        for i in np.unique(np.floor(x).astype(int)):
+            taken = np.sort(x[np.floor(x) == i])
+            p = taken[taken.size // 2]
+            known = np.sort(points[i])
+            j = np.searchsorted(known, p)
+            assert 0 < j < known.size
+            left, right = known[j - 1], known[j]
+            assert left < p < right and f(np.array([left]))[0] * f(np.array([right]))[0] < 0
+            points[i] += list(taken)
+    fa, fb = f(a)[0], f(b)[0]
+    assert np.all((a < b) & (np.sign(fa) * np.sign(fb) < 0))
+    assert np.all(b - a <= tol)
+    assert np.all((gamma - a <= 0.5 * tol) & (b - gamma <= 0.5 * tol))
+    if noise < tol:
+        assert np.all(np.abs(gamma - roots) <= tol)
 
 
 def test_scan_refinement_rounds(monkeypatch):
     calls = []
 
-    def counted(datum, ts, k):
-        calls.append(ts.size)
-        return z_grid(datum, ts, k)
+    def counted(name, fn):
+        def wrapper(datum, ts, k):
+            calls.append(name)
+            return fn(datum, ts, k)
+        return wrapper
 
     zerolab._scan.cache_clear()
-    monkeypatch.setattr(zerolab, "z_grid", counted)
+    monkeypatch.setattr(zerolab, "z_grid", counted("z_grid", z_grid))
+    monkeypatch.setattr(zerolab, "_z_stack", counted("_z_stack", zerolab._z_stack))
     table = scan_zeros(builtin("zeta"), 1, 8.0, 30.0)
     assert np.max(np.abs(np.array(table.gammas) - np.array(ZETA_PRIME_ZEROS))) < 1e-8
-    # one grid call, one residual call, the rest refinement rounds
-    assert len(calls) - 2 <= 12
+    # the grid, the regula-falsi points, one Halley round and the closing
+    # triples, which give every residual
+    assert calls == ["z_grid"] + ["_z_stack"] * 3
 
 
 def test_scan_validation():
