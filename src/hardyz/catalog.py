@@ -78,20 +78,9 @@ class PeriodicProvider:
         table = self.table
         q = len(table)
         residues = [a for a in range(1, q + 1) if table[a % q] != 0.0]
-        # the factors of an m prime to q are prime to q, so a character's table
-        # needs no other rows
-        units_only = all(math.gcd(a, q) == 1 for a in residues)
         flat = arr.ravel()
         lengths = series_terms(flat)
-        main = np.empty((len(residues), flat.size), dtype=np.complex128)
-        main_abs = np.empty(main.shape, dtype=np.float64)
-        for idx, classes, tab in power_tables(flat, lengths, q, units_only):
-            cols = {r: (lo, hi) for r, lo, hi in classes}
-            mag = np.abs(tab)
-            for i, a in enumerate(residues):
-                lo, hi = cols[a % q]
-                main[i, idx] = tab[:, lo:hi].sum(axis=1)
-                main_abs[i, idx] = mag[:, lo:hi].sum(axis=1)
+        main, main_abs = self._class_sums(flat, lengths, residues)
         # one Euler-Maclaurin pass over every (class, point) pair
         s_rows = np.broadcast_to(flat, main.shape).ravel()
         big = (lengths + np.array([a / q for a in residues])[:, None]).ravel()
@@ -105,6 +94,33 @@ class PeriodicProvider:
             vals += table[a % q] * v
             errs += abs(table[a % q]) * e
         return vals.reshape(arr.shape), errs.reshape(arr.shape)
+
+    def _class_sums(self, flat: np.ndarray, lengths: np.ndarray,
+                    residues: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The direct sums over m <= q N of each residue class a (mod q) in
+        residues, and their modulus masses, shape (len(residues), points).
+
+        The terms come from one integer-power table per chunk.  A term's
+        modulus is |m^(-s)| = m^(-sigma), so the masses come from a real
+        table exp(-sigma log m) with one row per distinct sigma of the chunk
+        (one row for a batch on the critical line) instead of a modulus of
+        every complex term.  A row depends on its sigma and N alone, so a
+        mass never depends on the batch either."""
+        q = len(self.table)
+        # the factors of an m prime to q are prime to q, so a character's table
+        # needs no other rows
+        units_only = all(math.gcd(a, q) == 1 for a in residues)
+        main = np.empty((len(residues), flat.size), dtype=np.complex128)
+        main_abs = np.empty(main.shape, dtype=np.float64)
+        for idx, plan, tab in power_tables(flat, lengths, q, units_only):
+            cols = {r: (lo, hi) for r, lo, hi in plan.classes}
+            sig, inv = _distinct(flat[idx].real)
+            mag = np.exp(np.multiply.outer(-sig, plan.logs))
+            for i, a in enumerate(residues):
+                lo, hi = cols[a % q]
+                main[i, idx] = tab[:, lo:hi].sum(axis=1)
+                main_abs[i, idx] = mag[:, lo:hi].sum(axis=1)[inv]
+        return main, main_abs
 
     def validate(self, datum: SelbergDatum) -> None:
         """Residual of F(s) = H(s) F(1 - s) at a generic point, the same
@@ -121,6 +137,16 @@ class PeriodicProvider:
         b = fe_factor(datum, s0) * l_value(datum, 1.0 - s0).value
         if abs(a - b) > 1e-8 * max(abs(a), abs(b)):
             raise AxiomViolationError(f"{datum.name}: functional equation residual {abs(a - b):.2e} at s = {s0}")
+
+
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-D array and the index of each entry
+    among them: np.unique, without its first call's import of numpy.ma."""
+    srt = np.sort(x)
+    keep = np.ones(srt.size, dtype=bool)
+    np.not_equal(srt[1:], srt[:-1], out=keep[1:])
+    uniq = srt[keep]
+    return uniq, np.searchsorted(uniq, x)
 
 
 def _square_truncated(c: list[int]) -> list[int]:
@@ -191,8 +217,8 @@ class CuspFormProvider:
         (specfun.tier_lengths), and its tail estimate."""
         lengths = tier_lengths(arr.imag, floor=16 * _EM_CUTOFF)
         vals = np.empty_like(arr)
-        for idx, _, tab in power_tables(arr, lengths):
-            vals[idx] = (tab * self.block(tab.shape[1])).sum(axis=1)
+        for idx, plan, tab in power_tables(arr, lengths):
+            vals[idx] = (tab * self.block(plan.m.size)[plan.m - 1]).sum(axis=1)
         # tail estimate: |a(n)| <= d(n), and sum_{n>N} d(n) n^(-sigma) has the
         # closed form  N^(1-sigma) (log N / (sigma-1) + 1/(sigma-1)^2)  for
         # sigma > 1; below that the bound is propagated from sigma = 1.05 and is

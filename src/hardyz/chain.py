@@ -87,14 +87,17 @@ def _check_k(k: int, cap: int = _MAX_CHAIN) -> None:
 
 
 def coeff_stack_grid(datum: SelbergDatum, s_arr, k: int) -> np.ndarray:
-    """f_0 .. f_k over a batch of points, shape (k+1,) + s_arr's shape."""
+    """f_0 .. f_k over a batch of points, shape (k+1,) + s_arr's shape.
+
+    The jet runs on the raveled points: on a 0-d s its rows would be numpy
+    scalars, whose complex multiply rounds differently from the array loop."""
     _check_k(k)
     arr = np.asarray(s_arr, dtype=np.complex128)
     if k == 0:
         # f_0 = 1 needs no psi, but the point must still lie in psi's domain
         check_psi_domain(datum, arr)
         return np.ones((1,) + arr.shape, dtype=np.complex128)
-    return jet.exp(-0.5 * fe_logderiv_grid(datum, arr, k - 1), k)
+    return jet.exp(-0.5 * fe_logderiv_grid(datum, arr.ravel(), k - 1), k).reshape((k + 1,) + arr.shape)
 
 
 def chain_coeff(datum: SelbergDatum, s: complex, k: int) -> complex:
@@ -123,15 +126,18 @@ def chain_grid(datum: SelbergDatum, s_arr, k: int) -> tuple[np.ndarray, np.ndarr
 
     One Cauchy circle supplies every F^(j); the f's reuse one psi stack.
     The F stack and the estimates are the Leibniz products of f with the
-    F^(j) and of |f| with their error estimates.
+    F^(j) and of |f| with their error estimates, on the raveled points as
+    in coeff_stack_grid, so a 0-d s has the bits of a 1-element batch.
     """
     _check_k(k)
     arr = np.asarray(s_arr, dtype=np.complex128)
     # the box first: psi far outside it is refused with a less useful message
     check_box(arr)
-    f = coeff_stack_grid(datum, arr, k)
-    dv, de = l_derivs_grid(datum, arr, k)
-    return f, jet.mul(f, dv), jet.mul(np.abs(f), de)
+    flat = arr.ravel()
+    f = coeff_stack_grid(datum, flat, k)
+    dv, de = l_derivs_grid(datum, flat, k)
+    shape = (k + 1,) + arr.shape
+    return f.reshape(shape), jet.mul(f, dv).reshape(shape), jet.mul(np.abs(f), de).reshape(shape)
 
 
 def chain_value(datum: SelbergDatum, s: complex, k: int) -> ChainValue:

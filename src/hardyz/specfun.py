@@ -3,9 +3,9 @@
 Everything here is built from three classical tools:
 
 * the Stirling asymptotic series with exact Bernoulli coefficients, applied
-  after an upward recurrence shift into the half-plane where the series
-  converges to machine accuracy; one walk (_log_gamma_rows) serves log
-  Gamma and every psi^(m) at once,
+  after an upward recurrence shift into the part of the right half-plane
+  where its remainder bound is far below rounding; one walk
+  (_log_gamma_rows) serves log Gamma and every psi^(m) at once,
 * Euler-Maclaurin summation for the Hurwitz zeta function, differentiated
   term by term in s for the first few s-derivatives by the Leibniz rule of
   the jet module, with 15 Bernoulli corrections and the proven bound on
@@ -36,9 +36,11 @@ from .errors import DomainError, PoleError, UnsupportedOrderError, check_order
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Stirling target of the walk's rows 0 and 1 (row n >= 2: + n - 1).  Re(w)
-# >= 12 makes the B_30 Stirling tail fall below 1e-26 even on the imaginary
-# axis direction, so double precision is limited by rounding, not truncation.
+# Stirling radius of the walk's rows 0 and 1 (row n >= 2: + n - 1): a row
+# stops once Re w >= 0 and |w| >= its radius.  There the bound on the
+# remainder after B_30 (_log_gamma_rows) is below 1.4e-17 of the row's
+# value; 1e-16 would need a radius of only 7.4 + n (row 0) to 9.3 + n (row
+# 17).  So double precision is limited by rounding, not truncation.
 _SHIFT_REAL = 12.0
 
 # highest polygamma order m, the one cap on the walk's rows (row m + 1) and
@@ -49,7 +51,7 @@ _MAX_HURWITZ_DERIV = 4
 # corrections after every Euler-Maclaurin direct sum
 _BERNOULLI_PAIRS = 15
 # unit steps allowed in the upward recurrence; the package's own gamma
-# arguments (Re >= -343.5 for Re s <= 350, target <= 28) need at most ~372
+# arguments (Re >= -343.5 for Re s <= 350, radius <= 28) need at most ~372
 _MAX_SHIFT_STEPS = 1000
 
 # elements per chunk when evaluating (points x series terms) products
@@ -126,10 +128,23 @@ def _log_gamma_rows(z: np.ndarray, rows: range) -> np.ndarray:
     finite z: row 0 is log Gamma and row m + 1 is psi^(m).
 
     One walk w -> w + 1 serves every row.  Row n subtracts d^n/dw^n log w
-    at each w it passes and stops at its own Stirling target 12 + max(n-1, 0),
-    so it has the bits of a walk made for it alone.  A start more than
-    _MAX_SHIFT_STEPS below the highest target is refused.  Each log keeps its
-    cut inside (-inf, 0], so row 0 is the principal branch off that cut.
+    at each w it passes and stops once Re w >= 0 and |w| >= its Stirling
+    radius R_n = 12 + max(n-1, 0), tested as Re^2 + Im^2 >= R_n^2.  A step
+    keeps both conditions true and R_n grows with n, so row n stops at the
+    first w of the walk that meets its own condition, and every row has the
+    bits of a walk made for it alone.  At the stop,
+    |ph w| <= pi/2, and the Stirling remainder after B_2M (M =
+    _BERNOULLI_PAIRS) is at most sec^(2M+2+n)(ph w / 2) <= 2^(M+1+n/2) times
+    the first omitted term (DLMF 5.11(ii) for rows 0 and 1, the same
+    integral, differentiated, for the others):
+
+        |R_n(w)| <= 2^(M+1+n/2) |B_(2M+2)| (2M+n)!/(2M+2)! |w|^(-2M-1-n),
+
+    below 1.4e-17 |d^n log Gamma(w)| at |w| = R_n for every row up to 17.
+    On the critical line of a degree-1 datum, w = (1/2 + it)/2 + mu takes no
+    step once |t| >= 2 R_n.  A start more than _MAX_SHIFT_STEPS below the
+    highest radius is refused.  Each log keeps its cut inside (-inf, 0], so
+    row 0 is the principal branch off that cut.
     """
     bad = _gamma_poles(z)
     if bad.any():
@@ -145,9 +160,9 @@ def _log_gamma_rows(z: np.ndarray, rows: range) -> np.ndarray:
                 (-1.0) ** (n - 1) * math.factorial(n - 1) if n else 0.0) for n in rows]
     w = z.astype(np.complex128, copy=True)
     for i, n in enumerate(rows):
-        target = _SHIFT_REAL + max(n - 1, 0)
+        radius2 = (_SHIFT_REAL + max(n - 1, 0)) ** 2
         while True:
-            mask = w.real < target
+            mask = (w.real < 0.0) | (w.real * w.real + w.imag * w.imag < radius2)
             if not mask.any():
                 break
             v = w[mask]
@@ -246,14 +261,18 @@ def tier_chunks(lengths: np.ndarray):
 
 class _PowerPlan(NamedTuple):
     """How to build m^(-s) for the integers m <= q n (prime to q when
-    units_only): row 0 holds m = 1, the next len(logs) rows the primes, and
-    each level (lo, hi, a, b) fills rows lo..hi-1 with rows a times rows b,
-    level by level in the number of prime factors."""
+    units_only), one row per m: rows by residue class mod q, then by the
+    number of prime factors, then by m.  Each exps block (lo, hi), the m = 1
+    and primes of one class, takes an exp of -s log m.  Each level (a, b,
+    blocks) covers one number of prime factors, levels in increasing order:
+    it gathers rows a and rows b, and each of its blocks (lo, hi), the m of
+    one class, takes the next hi - lo products of the two."""
 
-    logs: np.ndarray
-    levels: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
-    order: np.ndarray                          # rows by residue class mod q, then by m
-    classes: tuple[tuple[int, int, int], ...]  # (residue, lo, hi): a class's slice of order
+    m: np.ndarray                                   # the integer of each row
+    logs: np.ndarray                                # log m of each row
+    exps: tuple[tuple[int, int], ...]
+    levels: tuple[tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]], ...]
+    classes: tuple[tuple[int, int, int], ...]       # (residue, lo, hi): a class's rows
 
 
 @lru_cache(maxsize=64)
@@ -275,32 +294,42 @@ def _power_plan(n: int, q: int, units_only: bool) -> _PowerPlan:
     kept = m[1:]
     if units_only:
         kept = kept[np.gcd(kept, q) == 1]
-    by_level = kept[np.argsort(omega[kept], kind="stable")]
+    # (class, level) of each m, level = number of prime factors (< top); m = 1
+    # takes its exp with the primes, exp(-s log 1) = 1 exactly
+    key = (kept % q) * top + np.maximum(omega[kept], 1)
+    order = np.argsort(key, kind="stable")
+    kept, key = kept[order], key[order]
     row = np.empty(top + 1, dtype=np.int64)
-    row[by_level] = np.arange(by_level.size)
-    edges = np.searchsorted(omega[by_level], np.arange(omega[by_level[-1]] + 2))
-    levels = tuple((int(lo), int(hi), row[spf[by_level[lo:hi]]], row[cof[by_level[lo:hi]]])
-                   for lo, hi in zip(edges[2:-1], edges[3:]))
-    by_class = kept[np.argsort(kept % q, kind="stable")]
-    edges_q = np.searchsorted(by_class % q, np.arange(q + 1))
-    classes = tuple((r, int(edges_q[r]), int(edges_q[r + 1]))
-                    for r in range(q) if edges_q[r] < edges_q[r + 1])
-    plan = _PowerPlan(np.log(by_level[edges[1]:edges[2]].astype(np.float64)), levels,
-                      row[by_class], classes)
+    row[kept] = np.arange(kept.size)
+    edges = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), kept.size]
+    blocks: dict[int, list[tuple[int, int]]] = {}  # level -> its rows, one block per class
+    classes: dict[int, tuple[int, int]] = {}       # residue -> its rows
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        r, lv = divmod(int(key[lo]), top)
+        blocks.setdefault(lv, []).append((lo, hi))
+        classes[r] = (classes.get(r, (lo, hi))[0], hi)
+    levels = []
+    for lv in sorted(blocks)[1:]:
+        ms = np.concatenate([kept[lo:hi] for lo, hi in blocks[lv]])
+        levels.append((row[spf[ms]], row[cof[ms]], tuple(blocks[lv])))
+    plan = _PowerPlan(kept, np.log(kept.astype(np.float64)), tuple(blocks[1]), tuple(levels),
+                      tuple((r, lo, hi) for r, (lo, hi) in sorted(classes.items())))
     # shared by every caller: read-only
-    for arr in (plan.logs, plan.order, *(x for lv in levels for x in lv[2:])):
+    for arr in (plan.m, plan.logs, *(x for lv in levels for x in lv[:2])):
         arr.setflags(write=False)
     return plan
 
 
 def power_tables(s: np.ndarray, lengths: np.ndarray, q: int = 1, units_only: bool = True):
-    """(indices, classes, table) per chunk of points with one series length n.
+    """(indices, plan, table) per chunk of points with one series length n.
 
-    table[i, c] = m_c^(-s[indices[i]]) for the integers m_c <= q n (prime to
-    q when units_only), ordered by residue class mod q and then by m;
-    classes lists (residue, lo, hi), the columns of each class.  Only the
+    table[i, c] = m_c^(-s[indices[i]]) for the integers m_c = plan.m[c] <= q n
+    (prime to q when units_only), in the plan's row order: by residue class
+    mod q, then by the number of prime factors, then by m; plan.classes
+    lists (residue, lo, hi), the columns of each class.  Only m = 1 and the
     primes take an exp; every other column is the product of two earlier
-    ones, m = spf(m) * (m / spf(m)).  Each point's terms lie in one
+    ones, m = spf(m) * (m / spf(m)), and the product steps already write the
+    columns in that order.  Each point's terms of a class lie in one
     contiguous row, so a row sum adds them in an order fixed by n alone and
     a value never depends on the batch.  The table is a buffer that the
     next chunk overwrites.
@@ -314,24 +343,26 @@ def power_tables(s: np.ndarray, lengths: np.ndarray, q: int = 1, units_only: boo
     for n in sorted(set(lengths.tolist())):
         plan = _power_plan(n, q, units_only)
         idx_all = np.flatnonzero(lengths == n)
-        rows = plan.order.size
+        rows = plan.m.size
         step = max(1, _TABLE_ELEMS // rows)
         for lo in range(0, idx_all.size, step):
             idx = idx_all[lo:lo + step]
-            # (rows, points): each level gathers and multiplies whole rows
+            # (rows, points): each step gathers and multiplies whole rows
             tab, left, right = (buf[:rows * idx.size].reshape(rows, idx.size) for buf in space)
-            tab[0] = 1.0
-            primes = tab[1:1 + plan.logs.size]
-            np.multiply.outer(plan.logs, -s[idx], out=primes)
-            np.exp(primes, out=primes)
-            for r0, r1, a, b in plan.levels:
-                np.take(tab, a, axis=0, out=left[:a.size], mode="clip")
-                np.take(tab, b, axis=0, out=right[:b.size], mode="clip")
-                np.multiply(left[:a.size], right[:b.size], out=tab[r0:r1])
-            np.take(tab, plan.order, axis=0, out=left, mode="clip")
-            table = right.reshape(idx.size, rows)
-            table[...] = left.T
-            yield idx, plan.classes, table
+            minus_s = -s[idx]
+            for r0, r1 in plan.exps:
+                np.multiply.outer(plan.logs[r0:r1], minus_s, out=tab[r0:r1])
+                np.exp(tab[r0:r1], out=tab[r0:r1])
+            for a, b, blocks in plan.levels:
+                tab.take(a, axis=0, out=left[:a.size], mode="clip")
+                tab.take(b, axis=0, out=right[:b.size], mode="clip")
+                i = 0
+                for r0, r1 in blocks:
+                    np.multiply(left[i:i + r1 - r0], right[i:i + r1 - r0], out=tab[r0:r1])
+                    i += r1 - r0
+            table = left.reshape(idx.size, rows)
+            table[...] = tab.T
+            yield idx, plan, table
 
 
 def _direct_sum(s: np.ndarray, a: float, j: int, n_terms: int) -> tuple[np.ndarray, np.ndarray]:

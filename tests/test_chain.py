@@ -139,6 +139,23 @@ def test_chain_grid_matches_scalar():
                 assert np.array_equal(got.ravel(), ref)
 
 
+def test_zero_d_points_have_the_bits_of_a_batch():
+    # a 0-d s is raveled before the jets run: on numpy scalars the complex
+    # products would round otherwise than in the array loop
+    rng = np.random.default_rng(33)
+    for name in ("zeta", "chi4"):
+        datum = builtin(name)
+        ss = rng.uniform(-1.5, 2.5, 60) + 1j * rng.uniform(5.0, 480.0, 60)
+        for k in (0, 2, 4):
+            for s in ss:
+                got = coeff_stack_grid(datum, np.complex128(s), k)
+                ref = coeff_stack_grid(datum, np.array([s]), k)
+                assert got.shape == (k + 1,) and got.tobytes() == ref.tobytes(), (name, k, s)
+                for got, ref in zip(chain_grid(datum, np.complex128(s), k),
+                                    chain_grid(datum, np.array([s]), k)):
+                    assert got.shape == (k + 1,) and got.tobytes() == ref.tobytes(), (name, k, s)
+
+
 def test_z_values_multiprecision():
     zeta = builtin("zeta")
     for k, ref in enumerate(Z_AT_18):

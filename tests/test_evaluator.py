@@ -13,7 +13,7 @@ from hardyz.context import DEFAULT_CONTEXT
 from hardyz.errors import ContextError, DomainError, GeometryError, PoleError
 from hardyz.evaluator import l_derivs_grid, l_value, l_value_grid
 from hardyz.gamma_factor import fe_factor
-from hardyz.specfun import _TABLE_ELEMS, _power_plan, series_terms
+from hardyz.specfun import _TABLE_ELEMS, _power_plan, power_tables, series_terms
 
 from oracles import CATALAN, ZETA_ZEROS, divisor_counts, fd_derivative, zeta_alternating
 
@@ -227,7 +227,7 @@ def test_power_table_chunks_batch_invariant(name):
     datum = builtin(name)
     q = len(datum.provider.table)
     n = int(series_terms(0.3 + 490.0j))
-    step = _TABLE_ELEMS // _power_plan(n, q, True).order.size
+    step = _TABLE_ELEMS // _power_plan(n, q, True).m.size
     line = 0.3 + 1j * np.linspace(300.0, 600.0, 6001)
     tier = line[series_terms(line) == n][:step + 1]
     assert tier.size == step + 1
@@ -242,6 +242,43 @@ def test_power_table_chunks_batch_invariant(name):
     for i in (0, step - 1, step):
         one = l_value(datum, tier[i])
         assert (one.value, one.est_error) == (complex(tv[i]), float(te[i]))
+
+
+@pytest.mark.parametrize("name", ["zeta", "chi4"])
+def test_modulus_masses_from_sigma(name, monkeypatch):
+    # a term's modulus |m^(-s)| is m^(-sigma), so the masses come from one
+    # real row per distinct sigma: a point's estimate has the same bits
+    # alone, among points on the line, among points of distinct sigma and
+    # through the derivative circle, and stays within 4 ulps of the sum of
+    # the moduli of the complex terms (the reference below); values keep
+    # their bits
+    datum = builtin(name)
+    rng = np.random.default_rng(31)
+    s0 = complex(0.5, 231.7)
+    line = 0.5 + 1j * rng.uniform(5.0, 500.0, 300)
+    spread = rng.uniform(-1.5, 2.5, 300) + 1j * rng.uniform(5.0, 500.0, 300)
+    batches = [np.concatenate([pts, [s0]]) for pts in (line, spread)]
+    got = [l_value_grid(datum, b) for b in batches]
+    circle = l_derivs_grid(datum, np.array([s0]), 2)[1][0, 0]
+    assert l_value(datum, s0).est_error == got[0][1][-1] == got[1][1][-1] == circle
+
+    def abs_sums(self, flat, lengths, residues):
+        q = len(self.table)
+        main = np.empty((len(residues), flat.size), dtype=np.complex128)
+        main_abs = np.empty(main.shape, dtype=np.float64)
+        for idx, plan, tab in power_tables(flat, lengths, q):
+            cols = {r: (lo, hi) for r, lo, hi in plan.classes}
+            for i, a in enumerate(residues):
+                lo, hi = cols[a % q]
+                main[i, idx] = tab[:, lo:hi].sum(axis=1)
+                main_abs[i, idx] = np.abs(tab[:, lo:hi]).sum(axis=1)
+        return main, main_abs
+
+    monkeypatch.setattr(PeriodicProvider, "_class_sums", abs_sums)
+    for b, (vals, ests) in zip(batches, got):
+        ref_vals, ref_ests = l_value_grid(datum, b)
+        assert np.array_equal(vals, ref_vals)
+        assert np.all(np.abs(ests - ref_ests) <= 4 * np.finfo(np.float64).eps * ref_ests)
 
 
 def test_periodic_table_beyond_the_units():

@@ -13,10 +13,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from hardyz.catalog import builtin
+from hardyz.catalog import BUILTIN_NAMES, builtin
 from hardyz.chain import chain_coeff_tail, chain_grid, z_grid
 from hardyz.evaluator import l_value_grid
-from hardyz.specfun import _log_gamma_rows, hurwitz_zeta
+from hardyz.specfun import _BERNOULLI_PAIRS, _SHIFT_REAL, _log_gamma_rows, hurwitz_zeta
 from hardyz.zerolab import argument_S
 
 
@@ -190,3 +190,51 @@ def test_log_gamma_rows_against_mpmath():
                 mass = (np.abs(np.log(zi + k)) if n == 0
                         else math.factorial(n - 1) * np.abs(zi + k) ** (-n)).sum()
                 assert abs(got - ref) <= 1e-14 * (abs(ref) + mass), (n, zi)
+
+
+def test_log_gamma_rows_in_the_stirling_sector():
+    # each row n stops once Re w >= 0 and |w| >= R_n = 12 + max(n - 1, 0).
+    # Points on that boundary take no step: near the imaginary axis (Re w in
+    # [0, 1]) and at phases up to pi/2 either side.  The gamma arguments of
+    # every built-in datum on the line, t in [30, 500], take few steps or
+    # none.  A row's error must stay within the docstring's remainder bound
+    # at the stop, |w| >= max(|z|, R_n) for Re z >= 0, plus n + 4 ulps of
+    # |value| and of the mass of the steps taken as the walk's rounding; on
+    # the boundary that bound is below 1.4e-17 |value|, as the docstring says.
+    m = _BERNOULLI_PAIRS
+    b_next = abs(float(mpmath.bernoulli(2 * m + 2)))
+
+    def check(n, zi, got):
+        radius = _SHIFT_REAL + max(n - 1, 0)
+        steps = []
+        w = complex(zi)
+        while w.real < 0.0 or w.real * w.real + w.imag * w.imag < radius * radius:
+            steps.append(w)
+            w += 1.0
+        steps = np.array(steps)
+        mass = (np.abs(np.log(steps)) if n == 0
+                else math.factorial(n - 1) * np.abs(steps) ** (-n)).sum()
+        with mpmath.workdps(30):
+            x = mpmath.mpc(zi.real, zi.imag)
+            ref = complex(mpmath.loggamma(x) if n == 0 else mpmath.psi(n - 1, x))
+        bound = 2.0 ** (m + 1 + n / 2) * b_next * math.factorial(2 * m + n) \
+            / math.factorial(2 * m + 2) * max(abs(zi), radius) ** (-2 * m - 1 - n)
+        assert abs(got - ref) <= bound + (n + 4) * 2.3e-16 * (abs(ref) + mass), (n, zi)
+        return steps.size, bound / abs(ref)
+
+    rng = np.random.default_rng(29)
+    for n in range(18):
+        radius = _SHIFT_REAL + max(n - 1, 0)
+        x = np.concatenate([rng.uniform(0.0, 1.0, 3), radius * np.cos(rng.uniform(0.0, math.pi / 2, 3))])
+        y = np.sqrt(radius * radius - x * x)
+        edge = np.concatenate([x + 1j * y, x - 1j * y]) * (1.0 + 1e-15)
+        for zi, got in zip(edge, _log_gamma_rows(edge, range(n, n + 1))[0]):
+            steps, rel_bound = check(n, zi, got)
+            assert steps == 0 and rel_bound < 1.4e-17, (n, zi)
+    heights = rng.uniform(30.0, 500.0, 5)
+    data = [builtin(name, experimental=True) for name in BUILTIN_NAMES]
+    line = np.concatenate([lam * (0.5 + 1j * heights) + mu
+                           for d in data for lam, mu in zip(d.lambdas, d.mus)])
+    for n, row in enumerate(_log_gamma_rows(line, range(18))):
+        for zi, got in zip(line, row):
+            check(n, zi, got)
